@@ -1,8 +1,10 @@
 """Run the four greedy maximizers on one kernel and compare their picks.
 
 All four chase the same objective, the log-determinant of the selected
-principal submatrix.  The exact and lazy solvers score candidates with exact
-Schur complements (the lazy one skips re-scoring via stale upper bounds).
+principal submatrix.  The exact and lazy solvers both use exact Schur
+complements: exact greedy solves for every candidate at every step, while
+lazy greedy keeps every item's row of the incremental Cholesky factor and
+updates all complements with one product per accepted item.
 The first-order solver prices whole partition groups around an averaged
 bordered system, and the batch solver adds stochastic blocks whose gain is
 estimated with a polynomial trace estimator.
@@ -41,7 +43,7 @@ def main():
 
     exact = exact_greedy(L)
     lazy = lazy_greedy(L)
-    assert exact.selected == lazy.selected, "lazy re-ordering must not change picks"
+    assert exact.selected == lazy.selected, "incremental factor rows must not change picks"
     print("\nexact and lazy selected identical items in identical order")
     print(f"gains telescope: sum={np.sum(exact.gains):.10f} vs "
           f"logdet={exact.log_det:.10f}")

@@ -4,115 +4,10 @@ Exact and lazy greedy maximization of log det of a kernel submatrix, a
 partition-averaged first-order solver, a stochastic batch solver priced by a
 Chebyshev/Hutchinson log-determinant estimator with shared probe vectors,
 synthetic kernel generation, and a benchmark harness.
+
+Import from the submodules (``dppmap.greedy``, ``dppmap.kernel``, ...); the
+package root loads nothing, so ``dppmap.cli`` can set the BLAS thread count
+before numpy is imported.
 """
 
-from .bench import (
-    ExperimentConfig,
-    RunReport,
-    VarianceReport,
-    parameter_sweep,
-    run_comparison,
-    solve_with,
-    variance_study,
-)
-from .kernel import (
-    KernelFormatError,
-    SpectralBounds,
-    SyntheticConfig,
-    generate_synthetic_kernel,
-    load_kernel,
-    load_kernel_text,
-    save_kernel,
-    spectral_bounds,
-    validate_kernel,
-)
-from .greedy import (
-    GainEstimate,
-    GreedyState,
-    Partition,
-    SelectionResult,
-    balanced_partition,
-    batch_greedy,
-    brute_force_map,
-    exact_greedy,
-    first_order_gains,
-    lazy_greedy,
-    partitioned_greedy,
-    sample_batches,
-    top_l_refine,
-)
-from .linalg import (
-    BorderedKernel,
-    CgReport,
-    CholeskyFactor,
-    border_average,
-    bordered_inverse_columns,
-    cg_solve,
-    cholesky_logdet,
-    mat_inner_gain,
-    schur_marginal_gain,
-)
-from .logdet import (
-    ChebyshevExpansion,
-    ProbeSet,
-    RescaledOperator,
-    chebyshev_coefficients,
-    estimate_logdet,
-    probe_variance_bound,
-    rademacher_probes,
-    rescale_spectrum,
-    shared_probe_difference,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BorderedKernel",
-    "CgReport",
-    "ChebyshevExpansion",
-    "CholeskyFactor",
-    "ExperimentConfig",
-    "GainEstimate",
-    "GreedyState",
-    "KernelFormatError",
-    "Partition",
-    "ProbeSet",
-    "RescaledOperator",
-    "RunReport",
-    "SelectionResult",
-    "SpectralBounds",
-    "SyntheticConfig",
-    "VarianceReport",
-    "balanced_partition",
-    "batch_greedy",
-    "border_average",
-    "bordered_inverse_columns",
-    "brute_force_map",
-    "cg_solve",
-    "chebyshev_coefficients",
-    "cholesky_logdet",
-    "estimate_logdet",
-    "exact_greedy",
-    "first_order_gains",
-    "generate_synthetic_kernel",
-    "lazy_greedy",
-    "load_kernel",
-    "load_kernel_text",
-    "mat_inner_gain",
-    "parameter_sweep",
-    "partitioned_greedy",
-    "probe_variance_bound",
-    "rademacher_probes",
-    "rescale_spectrum",
-    "run_comparison",
-    "sample_batches",
-    "save_kernel",
-    "schur_marginal_gain",
-    "shared_probe_difference",
-    "solve_with",
-    "spectral_bounds",
-    "top_l_refine",
-    "validate_kernel",
-    "variance_study",
-    "__version__",
-]

@@ -179,6 +179,51 @@ def _timed_solve(algo, L, config, bounds, seed):
     return result, float(np.median(times))
 
 
+def _report(algo, seed, d, params, res, ms, base=None, base_ms=None):
+    """A filled table row; without a baseline the row anchors itself."""
+    ratio = speedup = 1.0
+    if base is not None:
+        ratio = res.log_det / base.log_det if base.log_det > 0 else float("nan")
+        speedup = base_ms / ms if ms > 0 else float("nan")
+    return RunReport(
+        algo=algo, seed=seed, d=d, params=params, set_size=res.size,
+        logdet=res.log_det, ratio=ratio, ms=ms, speedup=speedup,
+        cg_iters=res.cg_iters, exact_evals=res.exact_evals, selected=res.selected,
+    )
+
+
+def _paired_rows(config, cells, base_params, progress):
+    """The lazy baseline row, then one row per (algo, config) cell, per kernel.
+
+    Every (dim, seed) kernel is generated once and shared by its cells; a
+    failing cell records its error and the run continues.
+    """
+    needs_bounds = any(algo == "alg2" for algo, _ in cells)
+    rows = []
+
+    def emit(row):
+        rows.append(row)
+        if progress:
+            progress(row)
+
+    for d in config.dims:
+        for seed in config.seeds:
+            L = generate_synthetic_kernel(config.kernel_config(d, seed))
+            bounds = spectral_bounds(L) if needs_bounds else None
+            base, base_ms = _timed_solve("lazy", L, config, bounds, seed)
+            emit(_report("lazy", seed, d, base_params, base, base_ms))
+            for algo, cfg in cells:
+                params = _param_string(algo, cfg)
+                try:
+                    res, ms = _timed_solve(algo, L, cfg, bounds, seed)
+                except Exception as exc:  # keep the table going
+                    emit(RunReport(algo=algo, seed=seed, d=d, params=params,
+                                   error=f"{type(exc).__name__}: {exc}"))
+                    continue
+                emit(_report(algo, seed, d, params, res, ms, base, base_ms))
+    return rows
+
+
 def run_comparison(config, progress=None):
     """Run every (dim, seed, algorithm) cell; returns a list of RunReport.
 
@@ -186,47 +231,8 @@ def run_comparison(config, progress=None):
     speedup (its own row reports 1.0 for both).  A failing cell records its
     error and the run continues.
     """
-    rows = []
-    for d in config.dims:
-        for seed in config.seeds:
-            L = generate_synthetic_kernel(config.kernel_config(d, seed))
-            needs_bounds = "alg2" in config.algorithms
-            bounds = spectral_bounds(L) if needs_bounds else None
-            base, base_ms = _timed_solve("lazy", L, config, bounds, seed)
-            base_row = RunReport(
-                algo="lazy", seed=seed, d=d, params=_param_string("lazy", config),
-                set_size=base.size, logdet=base.log_det, ratio=1.0, ms=base_ms,
-                speedup=1.0, cg_iters=base.cg_iters, exact_evals=base.exact_evals,
-                selected=base.selected,
-            )
-            rows.append(base_row)
-            if progress:
-                progress(base_row)
-            for algo in config.algorithms:
-                if algo == "lazy":
-                    continue
-                row = RunReport(algo=algo, seed=seed, d=d,
-                                params=_param_string(algo, config))
-                try:
-                    res, ms = _timed_solve(algo, L, config, bounds, seed)
-                except Exception as exc:  # keep the table going
-                    row.error = f"{type(exc).__name__}: {exc}"
-                    rows.append(row)
-                    if progress:
-                        progress(row)
-                    continue
-                row.set_size = res.size
-                row.logdet = res.log_det
-                row.ratio = res.log_det / base.log_det if base.log_det > 0 else float("nan")
-                row.ms = ms
-                row.speedup = base_ms / ms if ms > 0 else float("nan")
-                row.cg_iters = res.cg_iters
-                row.exact_evals = res.exact_evals
-                row.selected = res.selected
-                rows.append(row)
-                if progress:
-                    progress(row)
-    return rows
+    cells = [(algo, config) for algo in config.algorithms if algo != "lazy"]
+    return _paired_rows(config, cells, _param_string("lazy", config), progress)
 
 
 def parameter_sweep(config, parameter, values, progress=None):
@@ -239,44 +245,9 @@ def parameter_sweep(config, parameter, values, progress=None):
     if parameter not in ("p", "k"):
         raise ValueError(f"can only sweep 'p' or 'k', got {parameter!r}")
     algo = "alg1" if parameter == "p" else "alg2"
-    rows = []
-    for d in config.dims:
-        for seed in config.seeds:
-            L = generate_synthetic_kernel(config.kernel_config(d, seed))
-            bounds = spectral_bounds(L) if algo == "alg2" else None
-            base, base_ms = _timed_solve("lazy", L, config, bounds, seed)
-            rows.append(RunReport(
-                algo="lazy", seed=seed, d=d, params="",
-                set_size=base.size, logdet=base.log_det, ratio=1.0, ms=base_ms,
-                speedup=1.0, cg_iters=base.cg_iters, exact_evals=base.exact_evals,
-                selected=base.selected,
-            ))
-            if progress:
-                progress(rows[-1])
-            for value in values:
-                cfg = ExperimentConfig(**{**asdict(config), parameter: value})
-                row = RunReport(algo=algo, seed=seed, d=d,
-                                params=_param_string(algo, cfg))
-                try:
-                    res, ms = _timed_solve(algo, L, cfg, bounds, seed)
-                except Exception as exc:
-                    row.error = f"{type(exc).__name__}: {exc}"
-                    rows.append(row)
-                    if progress:
-                        progress(row)
-                    continue
-                row.set_size = res.size
-                row.logdet = res.log_det
-                row.ratio = res.log_det / base.log_det if base.log_det > 0 else float("nan")
-                row.ms = ms
-                row.speedup = base_ms / ms if ms > 0 else float("nan")
-                row.cg_iters = res.cg_iters
-                row.exact_evals = res.exact_evals
-                row.selected = res.selected
-                rows.append(row)
-                if progress:
-                    progress(row)
-    return rows
+    cells = [(algo, ExperimentConfig(**{**asdict(config), parameter: value}))
+             for value in values]
+    return _paired_rows(config, cells, "", progress)
 
 
 def _banded_pair(dim, delta, closeness, rng):

@@ -19,6 +19,37 @@ def run_cli(*args):
     )
 
 
+# Records the BLAS thread variable at the moment numpy is first imported.
+_THREADS_PROBE = """
+import os, sys
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.pop(var, None)
+
+class NumpyImportSpy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            NumpyImportSpy.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, NumpyImportSpy())
+import dppmap.cli
+print("numpy loaded by import:", "numpy" in sys.modules)
+code = dppmap.cli.main(["--threads", "1", "solve", "--dim", "8", "--budget", "2"])
+print("exit", code, "threads at numpy import", NumpyImportSpy.seen[:1])
+"""
+
+
+def test_threads_flag_is_applied_before_numpy_loads():
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE],
+                          capture_output=True, text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "numpy loaded by import: False"
+    assert lines[-1] == "exit 0 threads at numpy import ['1']"
+
+
 def test_gen_solve_verify_chain(tmp_path):
     kernel = tmp_path / "kernel.dppk"
     result = tmp_path / "result.json"
