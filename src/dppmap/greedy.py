@@ -4,12 +4,14 @@ All solvers maximize log det of the kernel restricted to the selected set.
 ``exact_greedy`` (the textbook reference) scores every candidate each step
 with a triangular solve against a maintained Cholesky factor;
 ``lazy_greedy`` selects the same sequence from incremental factor rows of
-all items, one O(t·d) update per accepted item.  ``partitioned_greedy``
-replaces the per-candidate solve with a first-order expansion around a
-partition-averaged bordered kernel, priced by CG; ``batch_greedy`` extends the
-same idea to k-item batches, with the averaged log-determinant term supplied
-by the Chebyshev/Hutchinson estimator using probe vectors shared across
-partitions.
+all items, one O(t·d) update per accepted item, and takes each gain from the
+Schur complement those rows already hold.  ``partitioned_greedy`` replaces the
+per-candidate solve with a first-order expansion around a partition-averaged
+bordered kernel: CG gives the averaged kernel's inverse column, and the
+maintained factor gives its Schur log-gain exactly.  ``batch_greedy`` extends
+the same idea to k-item batches, with the averaged log-determinant term
+supplied by the Chebyshev/Hutchinson estimator using probe vectors shared
+across partitions.
 Ties everywhere break toward the smallest item index (smallest batch id).
 """
 
@@ -27,8 +29,7 @@ from .linalg import (
     _SharedBaseBordered,
     border_average,
     bordered_inverse_columns,
-    cg_solve,
-    cholesky_logdet,
+    cg_solve,  # noqa: F401  not called here; benchmark/tracing.py wraps this name
 )
 from .logdet import (
     _recurrence_quadratic_forms,
@@ -292,29 +293,34 @@ def lazy_greedy(L, budget=None):
 
     Keeps every item's row of the factor, T^-1 L[X, :], and its Schur
     complement L[i, i] - |row_i|^2, so each step is an argmax over the
-    complements and one O(t·d) row update; no candidate is solved for.
-    Selects the same sequence as ``exact_greedy``.
+    complements and one O(t·d) row update; no candidate is solved for.  The
+    accepted item's gain is the log of the complement it already holds, so
+    no separate factor of L[X, X] is kept.  Selects the same sequence as
+    ``exact_greedy``.
     """
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
     cap = _check_budget(budget, d)
-    state = GreedyState(L, capacity=cap)
     schur = np.diag(L).copy()
     rows = np.zeros((min(cap, 256), d))
+    remaining = np.ones(d, dtype=bool)
+    selected = []
+    gains = []
+    log_det = 0.0
+    exact_evals = 0
     stop = "budget" if budget is not None else "exhausted"
-    while state.size < cap:
-        rest = state.remaining_indices()
+    while len(selected) < cap:
+        rest = np.flatnonzero(remaining)
         if rest.size == 0:
             stop = "exhausted"
             break
-        state.exact_evals += int(rest.size)
+        exact_evals += int(rest.size)
         i = int(rest[np.argmax(schur[rest])])  # first maximum = smallest index
         s = schur[i]
         if not s > 1.0:  # log gain <= 0
             stop = "nonpositive-gain"
             break
-        t = state.size
-        state.add(i)
+        t = len(selected)
         if t == rows.shape[0]:
             grown = np.zeros((min(cap, 2 * t), d))
             grown[:t] = rows
@@ -322,7 +328,13 @@ def lazy_greedy(L, budget=None):
         e = (L[i] - rows[:t, i] @ rows[:t]) / np.sqrt(s)
         rows[t] = e
         schur -= e * e
-    return state.result("lazy", stop)
+        g = float(np.log(s))
+        selected.append(i)
+        gains.append(g)
+        log_det += g
+        remaining[i] = False
+    return SelectionResult(algorithm="lazy", selected=selected, gains=gains,
+                           log_det=log_det, exact_evals=exact_evals, stop_reason=stop)
 
 
 def sample_batches(remaining, k, s, rng):
@@ -361,70 +373,16 @@ def _grouped_inverse_columns(kernels, tol, max_iter, state):
         return out
 
 
-def _first_order_systems(state, kernels, tol, max_iter):
-    """Solve the z and averaged-Schur systems of ``first_order_gains``.
-
-    All 2p systems share the selected block, so they run as one lockstep CG
-    call: the p border-column systems as given, and the p base solves for
-    the averaged Schur complements padded with an identity coordinate (the
-    extra row carries an exact zero, leaving the solution untouched).
-    Returns (z list with None for failed groups, gamma array).
-    """
-    t = state.size
-    p = len(kernels)
-    gammas = np.full(p, -np.inf)
-    if t == 0:
-        zs = []
-        for bk in kernels:
-            c = bk.corner[0, 0]
-            if c > 0:
-                zs.append(np.array([[1.0 / c]]))
-                gammas[len(zs) - 1] = np.log(c)
-            else:
-                zs.append(None)
-        return zs, gammas
-
-    base = kernels[0].base
-    pad = [BorderedKernel(base=base, border=np.zeros((t, 1)), corner=np.array([[1.0]]))
-           for _ in range(p)]
-    rhs = np.zeros((t + 1, 2 * p))
-    rhs[t, :p] = 1.0
-    for j, bk in enumerate(kernels):
-        rhs[:t, p + j] = bk.border[:, 0]
-    try:
-        op = _SharedBaseBordered(kernels + pad, 1)
-        rep = cg_solve(op, rhs, tol=tol, max_iter=max_iter)
-        state.record_cg(rep)
-        zs = [rep.solution[:, j : j + 1] for j in range(p)]
-        for j, bk in enumerate(kernels):
-            s_val = bk.corner[0, 0] - bk.border[:, 0] @ rep.solution[:t, p + j]
-            if s_val > 0:
-                gammas[j] = np.log(s_val)
-        return zs, gammas
-    except np.linalg.LinAlgError:
-        pass
-    # breakdown: retry group by group so one bad average cannot poison the rest
-    zs = _grouped_inverse_columns(kernels, tol, max_iter, state)
-    for j, bk in enumerate(kernels):
-        try:
-            rep = cg_solve(base, bk.border[:, 0], tol=tol, max_iter=max_iter)
-            state.record_cg(rep)
-            s_val = bk.corner[0, 0] - bk.border[:, 0] @ rep.solution
-            if s_val > 0:
-                gammas[j] = np.log(s_val)
-        except np.linalg.LinAlgError:
-            pass
-    return zs, gammas
-
-
 def first_order_gains(state, partition, L, tol=1e-10, max_iter=30):
     """First-order gain estimates for every candidate in ``partition``.
 
     For each group the candidates' bordered kernels are averaged; the gain of
     member i is the inner product of its deviation from the average with the
-    average's last inverse column, plus the exact-style Schur log-gain of the
-    average itself.  Costs exactly 2p CG runs: p border-column solves and p
-    solves against the selected block for the averaged Schur complements.
+    average's last inverse column, plus the exact Schur log-gain of the
+    average itself.  The Schur log-gains of all groups come from one
+    triangular solve against the maintained factor; a group whose averaged
+    Schur complement is nonpositive is priced -inf for every member.  Each
+    remaining group costs one CG run, for its inverse column.
     """
     sel = state.selected
     t = state.size
@@ -437,11 +395,18 @@ def first_order_gains(state, partition, L, tol=1e-10, max_iter=30):
         blk = L[np.ix_(sel, g)] if t else np.zeros((0, g.size))
         blocks.append(blk)
         kernels.append(border_average(L, sel, g, base=base, columns=blk))
-    zs, gammas = _first_order_systems(state, kernels, tol, max_iter)
+    gammas = state.factor.gain_many(np.hstack([bk.border for bk in kernels]),
+                                    np.array([bk.corner[0, 0] for bk in kernels]))
+    live = np.flatnonzero(np.isfinite(gammas))
+    zs = [None] * len(kernels)
+    if live.size:
+        solved = _grouped_inverse_columns([kernels[j] for j in live], tol, max_iter, state)
+        for j, z in zip(live, solved):
+            zs[j] = z
 
     estimates = []
     for j, (g, blk, bk) in enumerate(zip(groups, blocks, kernels)):
-        if zs[j] is None or not np.isfinite(gammas[j]):
+        if zs[j] is None:
             estimates.extend(
                 GainEstimate(int(c), -np.inf, "first-order", j) for c in g
             )
@@ -450,7 +415,7 @@ def first_order_gains(state, partition, L, tol=1e-10, max_iter=30):
         z_bot = zs[j][t, 0]
         db = blk - bk.border
         dc = diag[g] - bk.corner[0, 0]
-        vals = 2.0 * (z_top @ db) + z_bot * dc + gammas[j] if t else z_bot * dc + gammas[j]
+        vals = 2.0 * (z_top @ db) + z_bot * dc + gammas[j]
         estimates.extend(
             GainEstimate(int(c), float(v), "first-order", j) for c, v in zip(g, vals)
         )
@@ -509,10 +474,11 @@ def partitioned_greedy(L, budget=None, p=5, ell=20, tol=1e-10, max_iter=30,
     """Greedy selection driven by partition-averaged first-order gains.
 
     Each iteration partitions the remaining candidates into p random balanced
-    groups, prices every candidate with ``first_order_gains`` (2p CG runs),
-    exactly re-scores the top ``ell`` estimates, and accepts the best.  Stops
-    when the accepted candidate's exact gain turns negative, at the budget,
-    or when candidates run out.
+    groups, prices every candidate with ``first_order_gains`` (p CG runs and
+    one triangular solve against the maintained factor), exactly re-scores
+    the top ``ell`` estimates, and accepts the best.  Stops when the accepted
+    candidate's exact gain turns negative, at the budget, or when candidates
+    run out.
 
     ``track_estimate_error`` additionally scores *all* candidates exactly each
     iteration and reports the worst observed estimate error in
@@ -553,7 +519,7 @@ def partitioned_greedy(L, budget=None, p=5, ell=20, tol=1e-10, max_iter=30,
 
 
 def _batch_gain_estimates(state, L, batches, partition, probes, expansion,
-                          scale, delta, tol, max_iter, exact_gamma):
+                          scale, delta, tol, max_iter):
     """Batch-pool estimates: shared-probe averaged log-dets plus linear terms.
 
     The estimator prices log det of each group's averaged bordered kernel with
@@ -585,25 +551,15 @@ def _batch_gain_estimates(state, L, batches, partition, probes, expansion,
     zs = _grouped_inverse_columns(kernels, tol, max_iter, state)
 
     ngroups = len(kernels)
-    gammas = np.full(ngroups, -np.inf)
-    if exact_gamma:
-        for j, bk in enumerate(kernels):
-            try:
-                gammas[j] = cholesky_logdet(bk.assemble())[0] - state.log_det
-            except np.linalg.LinAlgError:
-                pass
-    else:
-        m = probes.count
-        reference = BorderedKernel(base=base, border=np.zeros((t, k)),
-                                   corner=np.eye(k))
-        operators = kernels + [reference]
-        tiled = np.tile(probes.vectors, (1, ngroups + 1))
-        op = _SharedBaseBordered(operators, m)
-        apply_op = lambda w: scale * op.matmat(w)
-        quad = _recurrence_quadratic_forms(apply_op, delta, expansion.coefficients, tiled)
-        ref_mean = quad[ngroups * m :].mean()
-        for j in range(ngroups):
-            gammas[j] = quad[j * m : (j + 1) * m].mean() - ref_mean
+    m = probes.count
+    reference = BorderedKernel(base=base, border=np.zeros((t, k)), corner=np.eye(k))
+    operators = kernels + [reference]
+    tiled = np.tile(probes.vectors, (1, ngroups + 1))
+    op = _SharedBaseBordered(operators, m)
+    apply_op = lambda w: scale * op.matmat(w)
+    quad = _recurrence_quadratic_forms(apply_op, delta, expansion.coefficients, tiled)
+    ref_mean = quad[ngroups * m :].mean()
+    gammas = np.array([quad[j * m : (j + 1) * m].mean() for j in range(ngroups)]) - ref_mean
 
     estimates = []
     for j, (grp, bk, (idx, borders3, corners3)) in enumerate(zip(partition.groups, kernels, stacks)):
@@ -630,7 +586,7 @@ def _batch_gain_estimates(state, L, batches, partition, probes, expansion,
 
 def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
                  tol=1e-10, max_iter=30, seed=0, bounds=None,
-                 delta_target=0.01, exact_gamma=False, batch_sampler=None):
+                 delta_target=0.01, batch_sampler=None):
     """Stochastic batch greedy with first-order pricing of sampled k-batches.
 
     Each iteration samples ``s`` candidate batches, partitions them into p
@@ -646,9 +602,8 @@ def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
 
     Spectral bounds of the full kernel cover every averaged bordered kernel
     (eigenvalue interlacing survives averaging), so one ``bounds`` computation
-    fixes the estimator's rescaling for the whole run.  ``exact_gamma``
-    replaces the estimator with exact factorization (testing hook);
-    ``batch_sampler`` overrides batch sampling (testing hook).
+    fixes the estimator's rescaling for the whole run.  ``batch_sampler``
+    overrides batch sampling (testing hook).
     """
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
@@ -657,13 +612,10 @@ def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
     rng_part = substream(seed, "partitions")
     rng_batch = substream(seed, "batches")
     rng_probe = substream(seed, "probes")
-    if bounds is None and not exact_gamma:
+    if bounds is None:
         bounds = spectral_bounds(L)
-    if exact_gamma:
-        scale = delta = expansion = None
-    else:
-        scale, delta = _scale_and_delta(bounds, delta_target)
-        expansion = chebyshev_coefficients(n, delta)
+    scale, delta = _scale_and_delta(bounds, delta_target)
+    expansion = chebyshev_coefficients(n, delta)
     sampler = batch_sampler or sample_batches
     batch_steps = 0
     single_steps = 0
@@ -682,7 +634,7 @@ def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
             probes = rademacher_probes(t + k, m, rng_probe)
             pool_b = _batch_gain_estimates(
                 state, L, batches, part_b, probes, expansion,
-                scale, delta, tol, max_iter, exact_gamma,
+                scale, delta, tol, max_iter,
             )
         part_s = balanced_partition(rest, p, rng_part)
         pool_s = first_order_gains(state, part_s, L, tol=tol, max_iter=max_iter)

@@ -3,7 +3,7 @@
 Provides an incrementally growing Cholesky factor (one row per accepted item),
 a conjugate-gradient solver that runs many right-hand sides in lockstep, the
 bordered operators used by the averaged first-order gain estimates, and the
-Schur-complement marginal gain in both factor and CG form.
+Schur-complement marginal gain through a Cholesky factor.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,6 @@ __all__ = [
     "schur_marginal_gain",
     "border_average",
     "bordered_inverse_columns",
-    "mat_inner_gain",
 ]
 
 
@@ -286,14 +285,12 @@ def cg_solve(op, b, tol=1e-10, max_iter=30):
                     col_iters, true_res, col_ok)
 
 
-def schur_marginal_gain(L, selected, i, mode="factor", factor=None,
-                        tol=1e-10, max_iter=30):
+def schur_marginal_gain(L, selected, i, factor=None):
     """Marginal log-det gain of adding item ``i`` to the selected set.
 
-    factor mode forward-substitutes against a Cholesky factor of L[X, X]
-    (building one if not supplied); cg mode solves the same system with
-    conjugate gradients.  Nonpositive Schur complements yield -inf rather
-    than an error so greedy loops can skip the candidate.
+    Forward-substitutes against a Cholesky factor of L[X, X], building one if
+    ``factor`` is not supplied.  Nonpositive Schur complements yield -inf
+    rather than an error so greedy loops can skip the candidate.
     """
     selected = list(selected)
     if i in selected:
@@ -301,17 +298,9 @@ def schur_marginal_gain(L, selected, i, mode="factor", factor=None,
     corner = float(L[i, i])
     if not selected:
         return float(np.log(corner)) if corner > 0 else -np.inf
-    border = L[selected, i]
-    if mode == "factor":
-        fac = factor
-        if fac is None:
-            fac = CholeskyFactor.from_matrix(L[np.ix_(selected, selected)])
-        return fac.gain(border, corner)
-    if mode == "cg":
-        rep = cg_solve(L[np.ix_(selected, selected)], border, tol=tol, max_iter=max_iter)
-        s = corner - border @ rep.solution
-        return float(np.log(s)) if s > 0 else -np.inf
-    raise ValueError(f"unknown mode {mode!r}")
+    if factor is None:
+        factor = CholeskyFactor.from_matrix(L[np.ix_(selected, selected)])
+    return factor.gain(L[selected, i], corner)
 
 
 @dataclass
@@ -459,20 +448,3 @@ def bordered_inverse_columns(bordered, tol=1e-10, max_iter=30):
     blocks = [rep.solution[:, g * k : (g + 1) * k] for g in range(ngroups)]
     return blocks, rep
 
-
-def mat_inner_gain(delta_border, delta_corner, z):
-    """Inner product <Delta, Mat(Z)> for a candidate's deviation from the average.
-
-    Mat(Z) places Z in the last k columns and Z^T in the last k rows, with the
-    bottom-right k x k block symmetrized, so off-corner border entries count
-    twice (row and column copies) and corner entries once.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
-    k = z.shape[1]
-    t = z.shape[0] - k
-    db = np.asarray(delta_border, dtype=float).reshape(t, k)
-    dc = np.atleast_2d(np.asarray(delta_corner, dtype=float)).reshape(k, k)
-    zb = z[t:]
-    return 2.0 * float(np.vdot(db, z[:t])) + float(np.vdot(dc, (zb + zb.T) / 2.0))

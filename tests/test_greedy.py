@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppmap._rng import substream
 from dppmap.greedy import (
@@ -118,6 +120,7 @@ def test_lazy_matches_exact_on_many_kernels():
         lazy = lazy_greedy(L, budget)
         assert lazy.selected == exact.selected
         assert lazy.stop_reason == exact.stop_reason
+        assert np.abs(np.subtract(lazy.gains, exact.gains)).max(initial=0.0) <= 1e-10
         assert abs(sum(lazy.gains) - lazy.log_det) <= 1e-8
 
 
@@ -180,6 +183,11 @@ def test_first_order_exact_for_singleton_partitions():
     for est in first_order_gains(state, part, L):
         exact = schur_marginal_gain(L, state.selected, est.candidate)
         assert abs(est.value - exact) <= 1e-7
+    # a singleton group has no deviation from its average, so even one CG
+    # iteration leaves every estimate at the exact gain
+    exact = state.factor.gain_many(L[np.ix_(state.selected, rest)], np.diag(L)[rest])
+    capped = [e.value for e in first_order_gains(state, part, L, max_iter=1)]
+    assert np.abs(np.array(capped) - exact).max() <= 1e-12
 
 
 def test_first_order_costs_two_cg_runs_per_group():
@@ -192,7 +200,39 @@ def test_first_order_costs_two_cg_runs_per_group():
         before = state.cg_solves
         part = balanced_partition(rest, p, substream(p, "partitions"))
         first_order_gains(state, part, L)
-        assert state.cg_solves - before == 2 * p
+        # one inverse column per group; the Schur terms come from the factor
+        assert state.cg_solves - before == p
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(d=st.integers(2, 40), data=st.data())
+def test_first_order_never_underestimates_exact_gain(d, data):
+    # log det is concave, so linearizing around a group's averaged kernel
+    # over-estimates every member's exact gain
+    feature_dim = data.draw(st.integers(1, d))
+    shift = data.draw(st.sampled_from([0.0, 1.01]))
+    seed = data.draw(st.integers(0, 2**16))
+    L = generate_synthetic_kernel(SyntheticConfig(
+        dim=d, seed=seed, feature_dim=feature_dim, monotone_shift=shift))
+    state = GreedyState(L)
+    # a prefix that spans the kernel's rank leaves complements that are zero
+    # up to rounding, so both sides would compare noise
+    rank = d if shift else feature_dim
+    size = data.draw(st.integers(0, rank - 1))
+    for i in substream(seed, "prefix").permutation(d):
+        if state.size == size:
+            break
+        if np.isfinite(state.factor.gain(L[state.selected, i], L[i, i])):
+            state.add(i)
+    rest = state.remaining_indices()
+    p = data.draw(st.integers(1, 5))
+    part = balanced_partition(rest, p, substream(seed, "partitions"))
+    estimates = first_order_gains(state, part, L, max_iter=200)
+    cols = np.array([e.candidate for e in estimates])
+    exact = state.factor.gain_many(L[np.ix_(state.selected, cols)], np.diag(L)[cols])
+    est = np.array([e.value for e in estimates])
+    slack = 1e-10 * np.maximum(1.0, np.where(np.isfinite(exact), np.abs(exact), 0.0))
+    assert (est >= exact - slack).all()
 
 
 def test_first_order_error_shrinks_with_more_groups():
@@ -340,12 +380,12 @@ def test_gain_estimate_ordering():
 
 
 def test_batch_greedy_with_unit_batches_reduces_to_partitioned():
-    # k=1 batches covering every candidate, one group, and exact averaged
-    # log-dets make the batch pool a duplicate of the single pool
+    # k=1 batches cover every candidate and ell=40 re-scores both pools in
+    # full, so either solver accepts the exact greedy pick each step
     L = kernel(20, 2)
     reference = partitioned_greedy(L, budget=8, p=1, ell=20, seed=0)
     reduced = batch_greedy(
-        L, budget=8, p=1, k=1, s=1, ell=40, seed=0, exact_gamma=True,
+        L, budget=8, p=1, k=1, s=1, ell=40, seed=0,
         batch_sampler=lambda remaining, k, s, rng: remaining[:, None],
     )
     assert reduced.selected == reference.selected

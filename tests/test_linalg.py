@@ -13,7 +13,6 @@ from dppmap.linalg import (
     bordered_inverse_columns,
     cg_solve,
     cholesky_logdet,
-    mat_inner_gain,
     schur_marginal_gain,
 )
 
@@ -188,10 +187,9 @@ def test_schur_gain_empty_selection():
 
 def test_schur_gain_two_by_two():
     L = np.array([[2.0, 1.0], [1.0, 2.0]])
-    for mode in ("factor", "cg"):
-        g = schur_marginal_gain(L, [0], 1, mode=mode)
-        assert abs(g - np.log(1.5)) <= 1e-10
-        assert abs(g - 0.405465) <= 1e-6
+    g = schur_marginal_gain(L, [0], 1)
+    assert abs(g - np.log(1.5)) <= 1e-10
+    assert abs(g - 0.405465) <= 1e-6
 
 
 def test_schur_gain_matches_two_factorizations():
@@ -206,26 +204,9 @@ def test_schur_gain_matches_two_factorizations():
     assert abs(gain - (ld_big - ld_small)) <= 1e-8
 
 
-def test_schur_gain_cg_and_factor_agree_on_many_triples():
-    checked = 0
-    for seed in range(50):
-        L = generate_synthetic_kernel(SyntheticConfig(dim=25, seed=seed))
-        rng = substream(seed, "triples")
-        for _ in range(20):
-            size = int(rng.integers(0, 12))
-            perm = rng.permutation(25)
-            sel, i = list(perm[:size]), int(perm[size])
-            a = schur_marginal_gain(L, sel, i, mode="factor")
-            b = schur_marginal_gain(L, sel, i, mode="cg")
-            assert abs(a - b) <= 1e-7
-            checked += 1
-    assert checked == 1000
-
-
 def test_schur_gain_nonpositive_is_neg_inf():
     L = np.ones((2, 2))
-    assert schur_marginal_gain(L, [0], 1, mode="factor") == -np.inf
-    assert schur_marginal_gain(L, [0], 1, mode="cg") == -np.inf
+    assert schur_marginal_gain(L, [0], 1) == -np.inf
 
 
 def test_schur_gain_rejects_selected_candidate():
@@ -356,36 +337,6 @@ def test_shared_base_bordered_matches_individual_kernels():
     for g, bk in enumerate(kernels):
         cols = slice(g * width, (g + 1) * width)
         assert np.abs(out[:, cols] - bk.matmat(w[:, cols])).max() <= 1e-12
-
-
-def test_mat_inner_gain_zero_deviation():
-    z = substream(20, "z").standard_normal((7, 2))
-    assert mat_inner_gain(np.zeros((5, 2)), np.zeros((2, 2)), z) == 0.0
-
-
-def test_mat_inner_gain_two_by_two():
-    value = mat_inner_gain(np.array([1.0]), np.array([2.0]), np.array([[3.0], [4.0]]))
-    assert value == 14.0
-
-
-def test_mat_inner_gain_matches_dense_oracle():
-    rng = substream(21, "z")
-    t, k = 20, 5
-    db = rng.standard_normal((t, k))
-    dc = rng.standard_normal((k, k))
-    dc = (dc + dc.T) / 2.0
-    z = rng.standard_normal((t + k, k))
-
-    d_full = np.zeros((t + k, t + k))
-    d_full[:t, t:] = db
-    d_full[t:, :t] = db.T
-    d_full[t:, t:] = dc
-    mat_z = np.zeros((t + k, t + k))
-    mat_z[:t, t:] = z[:t]
-    mat_z[t:, :t] = z[:t].T
-    mat_z[t:, t:] = (z[t:] + z[t:].T) / 2.0
-
-    assert abs(mat_inner_gain(db, dc, z) - np.sum(d_full * mat_z)) <= 1e-10
 
 
 def test_telescoping_gains_match_full_factorization():
