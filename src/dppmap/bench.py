@@ -6,8 +6,9 @@ speedups.  ``variance_study`` measures the variance reduction from sharing
 probe vectors between two log-determinant estimates against the analytic
 bound.  ``parameter_sweep`` varies one solver parameter with paired seeds.
 
-Timings cover the solver call only; kernel generation and the spectral
-bounds both solvers would share are computed outside the clock.
+Timings cover the solver call only; kernel generation is outside the clock.
+alg2's spectral bounds are computed inside its own call.  The lazy baseline
+is warmed up on each kernel before it is timed.
 """
 
 import csv
@@ -25,7 +26,7 @@ from .greedy import (
     lazy_greedy,
     partitioned_greedy,
 )
-from .kernel import SyntheticConfig, generate_synthetic_kernel, spectral_bounds
+from .kernel import SyntheticConfig, generate_synthetic_kernel
 from .logdet import (
     RescaledOperator,
     chebyshev_coefficients,
@@ -54,6 +55,8 @@ CSV_COLUMNS = (
     "algo", "seed", "d", "params", "set_size", "logdet",
     "ratio", "ms", "speedup", "cg_iters", "exact_evals",
 )
+
+_BASELINE_WARMUP_S = 0.25
 
 
 @dataclass
@@ -133,7 +136,7 @@ class VarianceReport:
     bound: float
 
 
-def solve_with(algo, L, config, bounds=None, seed=0):
+def solve_with(algo, L, config, seed=0):
     """Dispatch one solver run under an ExperimentConfig."""
     if algo == "exact":
         return exact_greedy(L, config.budget)
@@ -150,7 +153,7 @@ def solve_with(algo, L, config, bounds=None, seed=0):
         return batch_greedy(
             L, budget=config.budget, p=config.p, k=config.k, s=config.s,
             m=config.m, n=config.n, ell=config.ell, tol=config.tol,
-            max_iter=config.max_iter, seed=seed, bounds=bounds,
+            max_iter=config.max_iter, seed=seed,
         )
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
@@ -168,15 +171,28 @@ def _param_string(algo, config):
     return ";".join(parts)
 
 
-def _timed_solve(algo, L, config, bounds, seed):
+def _timed_solve(algo, L, config, seed):
     """Median wall time over repetitions; the result is deterministic per seed."""
     times = []
     result = None
     for _ in range(config.repetitions):
         start = time.perf_counter()
-        result = solve_with(algo, L, config, bounds=bounds, seed=seed)
+        result = solve_with(algo, L, config, seed=seed)
         times.append((time.perf_counter() - start) * 1000.0)
     return result, float(np.median(times))
+
+
+def _warm_up_baseline(L, config, seed):
+    """Untimed lazy calls for ``_BASELINE_WARMUP_S`` seconds (at least one).
+
+    The lazy baseline takes tens of milliseconds at d=1000, and its first
+    calls on a freshly built kernel ran up to twice as slow (two BLAS threads
+    on a 2-core host), which would inflate every speedup measured against it.
+    """
+    start = time.perf_counter()
+    solve_with("lazy", L, config, seed=seed)
+    while time.perf_counter() - start < _BASELINE_WARMUP_S:
+        solve_with("lazy", L, config, seed=seed)
 
 
 def _report(algo, seed, d, params, res, ms, base=None, base_ms=None):
@@ -198,7 +214,6 @@ def _paired_rows(config, cells, base_params, progress):
     Every (dim, seed) kernel is generated once and shared by its cells; a
     failing cell records its error and the run continues.
     """
-    needs_bounds = any(algo == "alg2" for algo, _ in cells)
     rows = []
 
     def emit(row):
@@ -209,13 +224,13 @@ def _paired_rows(config, cells, base_params, progress):
     for d in config.dims:
         for seed in config.seeds:
             L = generate_synthetic_kernel(config.kernel_config(d, seed))
-            bounds = spectral_bounds(L) if needs_bounds else None
-            base, base_ms = _timed_solve("lazy", L, config, bounds, seed)
+            _warm_up_baseline(L, config, seed)
+            base, base_ms = _timed_solve("lazy", L, config, seed)
             emit(_report("lazy", seed, d, base_params, base, base_ms))
             for algo, cfg in cells:
                 params = _param_string(algo, cfg)
                 try:
-                    res, ms = _timed_solve(algo, L, cfg, bounds, seed)
+                    res, ms = _timed_solve(algo, L, cfg, seed)
                 except Exception as exc:  # keep the table going
                     emit(RunReport(algo=algo, seed=seed, d=d, params=params,
                                    error=f"{type(exc).__name__}: {exc}"))

@@ -199,7 +199,7 @@ def _cmd_gen_kernel(args):
 
 def _cmd_solve(args):
     from .bench import ExperimentConfig, solve_with
-    from .kernel import spectral_bounds, validate_kernel
+    from .kernel import validate_kernel
 
     L, provenance = _resolve_kernel(args)
     validate_kernel(L)
@@ -212,9 +212,8 @@ def _cmd_solve(args):
                     "budget": args.budget, "p": args.p, "k": args.k, "s": args.s,
                     "m": args.m, "n": args.n, "ell": args.ell, "tol": args.tol,
                     "max_cg_iter": args.max_cg_iter, **_flat(provenance)})
-    bounds = spectral_bounds(L) if args.algo == "alg2" else None
     start = time.perf_counter()
-    result = solve_with(args.algo, L, config, bounds=bounds, seed=args.seed)
+    result = solve_with(args.algo, L, config, seed=args.seed)
     ms = (time.perf_counter() - start) * 1000.0
     print(f"selected {result.size} items, log det {result.log_det:.6f}, "
           f"stop={result.stop_reason}, {ms:.1f} ms, "

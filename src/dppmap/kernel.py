@@ -4,6 +4,13 @@ The synthetic ensemble is a quality/diversity Gram kernel: unit feature
 vectors with log-linear quality weights, optionally shifted by a multiple of
 the identity so the smallest eigenvalue exceeds one (which makes the greedy
 objective monotone).
+
+``spectral_bounds`` brackets a kernel's spectrum for the log-det estimator.
+Its upper bound is always the certified Gershgorin bound; ``method`` names
+where the lower end came from: ``"gershgorin"`` (certified),
+``"floor-witness"`` (a Lanczos Ritz value at or below the estimator's delta
+floor; certified for PSD input) or ``"lanczos-estimate"`` (half the smallest
+Ritz value; an estimate, not a certificate).
 """
 
 import struct
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import check_seed, substream
-from .linalg import cg_solve
+from .logdet import DELTA_FLOOR
 
 __all__ = [
     "SyntheticConfig",
@@ -28,6 +35,8 @@ __all__ = [
 
 _MAGIC = b"DPPK"
 _VERSION = 1
+_LANCZOS_STEPS = 60
+_LANCZOS_RTOL = 1e-3  # Ritz residual / theta; 1e-2 misses lambda_min on some matrices
 
 
 @dataclass(frozen=True)
@@ -115,14 +124,28 @@ def validate_kernel(L):
     return L
 
 
-def spectral_bounds(L, power_iters=12):
-    """Bound the spectrum of SPD ``L``.
+def spectral_bounds(L):
+    """Bound the spectrum of PSD ``L``; ``method`` says how the lower end was found.
 
-    The upper bound is the Gershgorin row bound, which is certified.  The
-    lower bound is Gershgorin when that is positive; otherwise it falls back
-    to inverse power iteration (CG solves), whose Rayleigh quotient tends to
-    overestimate the smallest eigenvalue, so a safety factor of 0.5 is
-    applied.  The fallback is an estimate, not a certificate.
+    The upper bound is the Gershgorin row bound, which is certified.  The lower
+    end comes from one of three methods:
+
+    - ``"gershgorin"``: the Gershgorin lower bound, when it is positive.  A
+      certificate.
+    - ``"floor-witness"``: otherwise Lanczos runs on ``L`` (full
+      reorthogonalization, at most min(d, 60) matvecs, started at the all-ones
+      vector).  Once the smallest Ritz value theta is at most
+      ``DELTA_FLOOR * upper`` the lower bound returned is 0.0.  Theta is a
+      Rayleigh quotient, so lambda_min <= theta: every valid lower bound then
+      rescales to at most ``DELTA_FLOOR``, where the log-det estimator clamps
+      delta anyway.  A certificate, for PSD ``L``.
+    - ``"lanczos-estimate"``: otherwise Lanczos stops once the smallest Ritz
+      pair's residual is at most 1e-3 * theta (or the Krylov space is used
+      up) and returns 0.5 * theta.  Theta tends to overestimate lambda_min,
+      hence the safety factor; this is an estimate, not a certificate.
+
+    Raises ``LinAlgError`` when a Ritz value falls below -1e-8 * upper, which
+    proves ``L`` is not PSD.
     """
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
@@ -132,18 +155,29 @@ def spectral_bounds(L, power_iters=12):
     lower = float(np.min(diag - radii))
     if lower > 0:
         return SpectralBounds(lower=lower, upper=upper, method="gershgorin")
-    v = np.ones(d) / np.sqrt(d)
-    lam = None
-    for _ in range(max(1, power_iters)):
-        y = cg_solve(L, v, tol=1e-8, max_iter=min(d, 200)).solution
-        ray = v @ y  # Rayleigh quotient of L^-1 at unit v
-        if ray <= 0:
+    steps = min(d, _LANCZOS_STEPS)
+    basis = np.empty((steps, d))  # Lanczos vectors, one per row
+    tri = np.zeros((steps, steps))  # the Lanczos tridiagonal matrix
+    q = np.ones(d) / np.sqrt(d)
+    for j in range(steps):
+        basis[j] = q
+        w = L @ q
+        tri[j, j] = q @ w
+        for _ in range(2):  # full reorthogonalization; one pass lets errors grow
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        beta = np.linalg.norm(w)
+        ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
+        theta = float(ritz[0])
+        if theta < -1e-8 * upper:
+            raise np.linalg.LinAlgError(
+                f"kernel is not positive semidefinite: Ritz value {theta:.6g}")
+        if theta <= DELTA_FLOOR * upper:
+            return SpectralBounds(lower=0.0, upper=upper, method="floor-witness")
+        if beta * abs(vecs[-1, 0]) <= _LANCZOS_RTOL * theta or j + 1 == steps:
             break
-        lam = 1.0 / ray
-        v = y / np.linalg.norm(y)
-    if lam is None:  # pathological; fall back to something trivially safe
-        lam = upper / max(d, 1) * 1e-12
-    return SpectralBounds(lower=0.5 * lam, upper=upper, method="power-iteration")
+        tri[j, j + 1] = tri[j + 1, j] = beta
+        q = w / beta
+    return SpectralBounds(lower=0.5 * theta, upper=upper, method="lanczos-estimate")
 
 
 def save_kernel(path, L):

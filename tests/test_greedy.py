@@ -20,7 +20,12 @@ from dppmap.greedy import (
     sample_batches,
     top_l_refine,
 )
-from dppmap.kernel import SyntheticConfig, generate_synthetic_kernel
+from dppmap.kernel import (
+    SpectralBounds,
+    SyntheticConfig,
+    generate_synthetic_kernel,
+    spectral_bounds,
+)
 from dppmap.linalg import cholesky_logdet, schur_marginal_gain
 
 
@@ -407,6 +412,21 @@ def test_batch_greedy_deterministic_and_telescoping():
     assert abs(sum(a.gains) - a.log_det) <= 1e-8
     sub = L[np.ix_(a.selected, a.selected)]
     assert abs(a.log_det - cholesky_logdet(sub)[0]) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [200, 300])
+def test_batch_greedy_floor_witness_matches_true_lower_bound(d):
+    # a floor witness puts delta at the estimator's floor, which is where any
+    # valid lower bound puts it, so alg2 runs the same arithmetic
+    for seed in range(3):
+        L = kernel(d, seed, shift=0.0)
+        bounds = spectral_bounds(L)
+        assert bounds.method == "floor-witness"
+        true = SpectralBounds(0.999 * np.linalg.eigvalsh(L).min(), bounds.upper, "eigvalsh")
+        a = batch_greedy(L, seed=seed)
+        b = batch_greedy(L, seed=seed, bounds=true)
+        assert a.selected == b.selected
+        assert a.log_det == b.log_det
 
 
 def test_batch_greedy_respects_budget_with_batches():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppmap._rng import substream
 from dppmap.kernel import (
@@ -123,6 +125,39 @@ def test_spectral_bounds_sound_on_random_matrices():
         if not (bounds.lower <= true.min() and true.max() <= bounds.upper):
             violations += 1
     assert violations == 0
+
+
+def test_spectral_bounds_rejects_indefinite_input():
+    # eigenvalues 3 and (1 +- sqrt(17)) / 2; Gershgorin's lower bound is -2
+    a = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="Ritz value"):
+        spectral_bounds(a)
+
+
+def test_spectral_bounds_floor_witness_on_rank_deficient_kernel():
+    L = generate_synthetic_kernel(
+        SyntheticConfig(dim=40, seed=0, feature_dim=8, monotone_shift=0.0))
+    bounds = spectral_bounds(L)
+    assert bounds.method == "floor-witness"
+    assert bounds.lower == 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(d=st.integers(1, 40), data=st.data())
+def test_spectral_bounds_certificates_hold(d, data):
+    feature_dim = data.draw(st.integers(1, d))
+    shift = data.draw(st.sampled_from([0.0, 1.01]))
+    seed = data.draw(st.integers(0, 2**16))
+    L = generate_synthetic_kernel(SyntheticConfig(
+        dim=d, seed=seed, feature_dim=feature_dim, monotone_shift=shift))
+    bounds = spectral_bounds(L)
+    eigs = np.linalg.eigvalsh(L)
+    rounding = 1e-12 * bounds.upper  # eigvalsh's own error
+    assert eigs[-1] <= bounds.upper + rounding
+    if bounds.method == "floor-witness":
+        assert eigs[0] <= 1e-4 * bounds.upper + rounding
+    if bounds.method == "gershgorin":
+        assert bounds.lower <= eigs[0] + rounding
 
 
 def test_kernel_roundtrip_identity(tmp_path):
