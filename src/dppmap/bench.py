@@ -145,10 +145,8 @@ def solve_with(algo, L, config, seed=0):
     if algo == "brute":
         return brute_force_map(L, config.budget if config.budget is not None else L.shape[0])
     if algo == "alg1":
-        return partitioned_greedy(
-            L, budget=config.budget, p=config.p, ell=config.ell,
-            tol=config.tol, max_iter=config.max_iter, seed=seed,
-        )
+        return partitioned_greedy(L, budget=config.budget, p=config.p,
+                                  ell=config.ell, seed=seed)
     if algo == "alg2":
         return batch_greedy(
             L, budget=config.budget, p=config.p, k=config.k, s=config.s,

@@ -62,8 +62,8 @@ def _add_solver_flags(sub):
     sub.add_argument("--n", type=int, default=15, help="polynomial degree of the log expansion")
     sub.add_argument("--ell", type=int, default=20, help="estimates re-scored exactly per pool")
     sub.add_argument("--budget", type=int, default=None, help="maximum selection size")
-    sub.add_argument("--tol", type=float, default=1e-10, help="CG residual tolerance")
-    sub.add_argument("--max-cg-iter", type=int, default=30, help="CG iteration cap")
+    sub.add_argument("--tol", type=float, default=1e-10, help="CG residual tolerance (alg2)")
+    sub.add_argument("--max-cg-iter", type=int, default=30, help="CG iteration cap (alg2)")
 
 
 def _add_kernel_flags(sub, seed):

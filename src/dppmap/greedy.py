@@ -2,16 +2,21 @@
 
 All solvers maximize log det of the kernel restricted to the selected set.
 ``exact_greedy`` (the textbook reference) scores every candidate each step
-with a triangular solve against a maintained Cholesky factor;
-``lazy_greedy`` selects the same sequence from incremental factor rows of
-all items, one O(t·d) update per accepted item, and takes each gain from the
-Schur complement those rows already hold.  ``partitioned_greedy`` replaces the
-per-candidate solve with a first-order expansion around a partition-averaged
-bordered kernel: CG gives the averaged kernel's inverse column, and the
-maintained factor gives its Schur log-gain exactly.  ``batch_greedy`` extends
-the same idea to k-item batches, with the averaged log-determinant term
-supplied by the Chebyshev/Hutchinson estimator using probe vectors shared
-across partitions.
+with a triangular solve against a maintained Cholesky factor.
+``lazy_greedy`` selects the same sequence from a ``RowState``: incremental
+factor rows of all items, one O(t·d) update per accepted item, each gain the
+log of the Schur complement those rows already hold.  ``partitioned_greedy``
+prices candidates by a first-order expansion around a partition-averaged
+bordered kernel; from the same rows that estimate comes in closed form from
+two products, with no CG, and the top ``ell`` are re-scored from the kept
+complements.  Once the rows are kept an exact gain costs O(1) per candidate
+and an estimate O(t), so alg1 pays lazy's row update plus 2p passes over the
+rows and cannot beat lazy; the paper's saving exists only where the rows are
+not kept.  ``batch_greedy`` extends the expansion to k-item batches over a
+``GreedyState``: CG gives each averaged kernel's inverse columns, and the
+Chebyshev/Hutchinson estimator, with probe vectors shared across partitions,
+supplies the averaged log-determinant term.  Its single-item pool is
+``first_order_gains``, the CG form of alg1's estimate.
 Ties everywhere break toward the smallest item index (smallest batch id).
 """
 
@@ -40,6 +45,7 @@ from .logdet import (
 
 __all__ = [
     "GreedyState",
+    "RowState",
     "Partition",
     "GainEstimate",
     "SelectionResult",
@@ -221,6 +227,106 @@ class GreedyState:
         )
 
 
+class RowState:
+    """Selection state kept as incremental Cholesky rows of every item.
+
+    ``rows[:t]`` is R = T^-1 L[X, :] for the Cholesky factor T of L[X, X]
+    (Chen, Zhang & Zhou 2018), and ``schur`` = diag(L) - colsum(R**2) holds
+    every item's Schur complement against the selection, so an item's exact
+    gain is the log of its complement and no factor of L[X, X] is kept.
+    ``add`` appends one O(t·d) row; the row buffer grows by doubling from 256
+    rows up to ``capacity``.
+    """
+
+    def __init__(self, L, capacity):
+        d = L.shape[0]
+        self.L = L
+        self.diag = np.diag(L)
+        self.schur = self.diag.copy()
+        self.rows = np.zeros((min(capacity, 256), d))
+        self._cap = capacity
+        self.remaining = np.ones(d, dtype=bool)
+        self.selected = []
+        self.gains = []
+        self.log_det = 0.0
+        self.exact_evals = 0
+
+    @property
+    def size(self):
+        return len(self.selected)
+
+    def add(self, i):
+        """Accept item ``i``, whose complement must be positive; returns its gain."""
+        i = int(i)
+        t = self.size
+        s = self.schur[i]
+        if t == self.rows.shape[0]:
+            grown = np.zeros((min(self._cap, 2 * t), self.rows.shape[1]))
+            grown[:t] = self.rows
+            self.rows = grown
+        rows = self.rows
+        e = (self.L[i] - rows[:t, i] @ rows[:t]) / np.sqrt(s)
+        rows[t] = e
+        self.schur -= e * e
+        g = float(np.log(s))
+        self.selected.append(i)
+        self.gains.append(g)
+        self.log_det += g
+        self.remaining[i] = False
+        return g
+
+    def exact_gains(self, items):
+        """Exact log gains of ``items``; -inf where the complement is not positive."""
+        s = self.schur[items]
+        out = np.full(s.shape, -np.inf)
+        pos = s > 0
+        out[pos] = np.log(s[pos])
+        return out
+
+    def first_order(self, partition):
+        """``first_order_gains``' estimates in closed form from the rows.
+
+        Returns (candidates, estimates) in ``first_order_gains``' order: groups
+        in order, members sorted.  For group g let W be the mean of its rows
+        R[:, g], c the mean of its diagonal and S = c - W·W, the Schur
+        complement of the averaged bordered kernel.  Member i is priced
+        log S + (L[i, i] - c)/S - 2(W·R[:, i] - W·W)/S, the value the CG path
+        converges to; every member of a group with S <= 0 is priced -inf.
+        W is R times the d x p matrix of 1/|g| group indicators and W^T R a
+        second product, so no column of R or L is gathered.
+        """
+        groups = partition.groups
+        sizes = np.array([g.size for g in groups])
+        cand = np.concatenate(groups)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        avg = np.zeros((self.diag.size, sizes.size))
+        avg[cand, owner] = 1.0 / sizes[owner]
+        R = self.rows[: self.size]
+        W = R @ avg
+        ww = np.einsum("tg,tg->g", W, W)
+        c = self.diag @ avg
+        S = (c - ww)[owner]
+        cross = (W.T @ R)[owner, cand]
+        est = np.full(cand.size, -np.inf)
+        live = S > 0
+        S = S[live]
+        o = owner[live]
+        est[live] = (np.log(S) + (self.diag[cand[live]] - c[o]) / S
+                     - 2.0 * (cross[live] - ww[o]) / S)
+        return cand, est
+
+    def result(self, algorithm, stop_reason, **metrics):
+        return SelectionResult(
+            algorithm=algorithm,
+            selected=list(self.selected),
+            gains=list(self.gains),
+            log_det=self.log_det,
+            exact_evals=self.exact_evals,
+            stop_reason=stop_reason,
+            metrics=metrics,
+        )
+
+
 def _check_budget(budget, d):
     if budget is None:
         return d
@@ -291,50 +397,28 @@ def exact_greedy(L, budget=None):
 def lazy_greedy(L, budget=None):
     """Exact greedy over incremental Cholesky rows (Chen, Zhang & Zhou 2018).
 
-    Keeps every item's row of the factor, T^-1 L[X, :], and its Schur
-    complement L[i, i] - |row_i|^2, so each step is an argmax over the
-    complements and one O(t·d) row update; no candidate is solved for.  The
-    accepted item's gain is the log of the complement it already holds, so
-    no separate factor of L[X, X] is kept.  Selects the same sequence as
-    ``exact_greedy``.
+    Keeps every item's row of the factor and its Schur complement in a
+    ``RowState``, so each step is an argmax over the complements and one
+    O(t·d) row update; no candidate is solved for.  Selects the same sequence
+    as ``exact_greedy``.
     """
     L = np.asarray(L, dtype=float)
-    d = L.shape[0]
-    cap = _check_budget(budget, d)
-    schur = np.diag(L).copy()
-    rows = np.zeros((min(cap, 256), d))
-    remaining = np.ones(d, dtype=bool)
-    selected = []
-    gains = []
-    log_det = 0.0
-    exact_evals = 0
+    cap = _check_budget(budget, L.shape[0])
+    state = RowState(L, cap)
+    schur = state.schur
     stop = "budget" if budget is not None else "exhausted"
-    while len(selected) < cap:
-        rest = np.flatnonzero(remaining)
+    while state.size < cap:
+        rest = np.flatnonzero(state.remaining)
         if rest.size == 0:
             stop = "exhausted"
             break
-        exact_evals += int(rest.size)
+        state.exact_evals += int(rest.size)
         i = int(rest[np.argmax(schur[rest])])  # first maximum = smallest index
-        s = schur[i]
-        if not s > 1.0:  # log gain <= 0
+        if not schur[i] > 1.0:  # log gain <= 0
             stop = "nonpositive-gain"
             break
-        t = len(selected)
-        if t == rows.shape[0]:
-            grown = np.zeros((min(cap, 2 * t), d))
-            grown[:t] = rows
-            rows = grown
-        e = (L[i] - rows[:t, i] @ rows[:t]) / np.sqrt(s)
-        rows[t] = e
-        schur -= e * e
-        g = float(np.log(s))
-        selected.append(i)
-        gains.append(g)
-        log_det += g
-        remaining[i] = False
-    return SelectionResult(algorithm="lazy", selected=selected, gains=gains,
-                           log_det=log_det, exact_evals=exact_evals, stop_reason=stop)
+        state.add(i)
+    return state.result("lazy", stop)
 
 
 def sample_batches(remaining, k, s, rng):
@@ -469,53 +553,47 @@ def top_l_refine(estimates, ell, state, L):
     return min(refined, key=GainEstimate.sort_key)
 
 
-def partitioned_greedy(L, budget=None, p=5, ell=20, tol=1e-10, max_iter=30,
-                       seed=0, track_estimate_error=False):
+def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
     """Greedy selection driven by partition-averaged first-order gains.
 
     Each iteration partitions the remaining candidates into p random balanced
-    groups, prices every candidate with ``first_order_gains`` (p CG runs and
-    one triangular solve against the maintained factor), exactly re-scores
-    the top ``ell`` estimates, and accepts the best.  Stops when the accepted
+    groups, prices every candidate by linearizing around its group's averaged
+    bordered kernel (``RowState.first_order``, in closed form from the kept
+    factor rows), exactly re-scores the top ``ell`` estimates, and accepts the
+    best; ties go to the smallest item index.  Stops when the accepted
     candidate's exact gain turns negative, at the budget, or when candidates
     run out.
 
-    ``track_estimate_error`` additionally scores *all* candidates exactly each
-    iteration and reports the worst observed estimate error in
-    ``metrics["epsilon_hat"]`` (small inputs only; quadratic cost).
+    Every candidate's exact gain is held anyway, so ``metrics["epsilon_hat"]``
+    reports the worst estimate error seen over the run.
     """
+    if ell < 1:
+        raise ValueError(f"ell must be positive, got {ell}")
     L = np.asarray(L, dtype=float)
-    d = L.shape[0]
-    cap = _check_budget(budget, d)
-    state = GreedyState(L, capacity=cap)
+    cap = _check_budget(budget, L.shape[0])
+    state = RowState(L, cap)
     rng_part = substream(seed, "partitions")
-    diag = np.diag(L)
     eps_hat = 0.0
     stop = "budget" if budget is not None else "exhausted"
     while state.size < cap:
-        rest = state.remaining_indices()
+        rest = np.flatnonzero(state.remaining)
         if rest.size == 0:
             stop = "exhausted"
             break
-        part = balanced_partition(rest, p, rng_part)
-        estimates = first_order_gains(state, part, L, tol=tol, max_iter=max_iter)
-        if track_estimate_error:
-            borders = L[np.ix_(state.selected, rest)] if state.size else np.zeros((0, rest.size))
-            exact = dict(zip(rest.tolist(), state.factor.gain_many(borders, diag[rest])))
-            for e in estimates:
-                tru = exact[e.candidate]
-                if np.isfinite(e.value) and np.isfinite(tru):
-                    eps_hat = max(eps_hat, abs(e.value - tru))
-        best = top_l_refine(estimates, ell, state, L)
-        if best is None:
-            stop = "exhausted"
-            break
-        if best.value < 0:
+        cand, est = state.first_order(balanced_partition(rest, p, rng_part))
+        exact = state.exact_gains(cand)
+        seen = np.isfinite(est) & np.isfinite(exact)
+        if seen.any():
+            eps_hat = max(eps_hat, float(np.abs(est[seen] - exact[seen]).max()))
+        top = np.argsort(-est, kind="stable")[:ell]
+        state.exact_evals += int(top.size)
+        gains = exact[top]
+        best = gains.max()
+        if best < 0:
             stop = "negative-gain"
             break
-        state.add(best.candidate)
-    metrics = {"epsilon_hat": eps_hat} if track_estimate_error else {}
-    return state.result("alg1", stop, **metrics)
+        state.add(cand[top][gains == best].min())
+    return state.result("alg1", stop, epsilon_hat=eps_hat)
 
 
 def _batch_gain_estimates(state, L, batches, partition, probes, expansion,

@@ -37,6 +37,8 @@ _MAGIC = b"DPPK"
 _VERSION = 1
 _LANCZOS_STEPS = 60
 _LANCZOS_RTOL = 1e-3  # Ritz residual / theta; 1e-2 misses lambda_min on some matrices
+_LANCZOS_BREAKDOWN = 1e-12  # beta / upper below which the Krylov space is invariant
+_GERSHGORIN_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -134,15 +136,21 @@ def spectral_bounds(L):
       certificate.
     - ``"floor-witness"``: otherwise Lanczos runs on ``L`` (full
       reorthogonalization, at most min(d, 60) matvecs, started at the all-ones
-      vector).  Once the smallest Ritz value theta is at most
+      vector).  When the Krylov space closes on an invariant subspace (beta
+      at most 1e-12 * upper), it restarts from a vector of the named
+      substream ``"lanczos-restart"`` orthogonal to every earlier Lanczos
+      vector, so a bottom eigenvector orthogonal to the start is still
+      reached; theta below is the smallest Ritz value over every block so
+      far.  Once the smallest Ritz value theta is at most
       ``DELTA_FLOOR * upper`` the lower bound returned is 0.0.  Theta is a
       Rayleigh quotient, so lambda_min <= theta: every valid lower bound then
       rescales to at most ``DELTA_FLOOR``, where the log-det estimator clamps
       delta anyway.  A certificate, for PSD ``L``.
     - ``"lanczos-estimate"``: otherwise Lanczos stops once the smallest Ritz
-      pair's residual is at most 1e-3 * theta (or the Krylov space is used
-      up) and returns 0.5 * theta.  Theta tends to overestimate lambda_min,
-      hence the safety factor; this is an estimate, not a certificate.
+      pair of the current block has a residual of at most 1e-3 times its
+      value, or after min(d, 60) steps, and returns 0.5 * theta.  Theta
+      tends to overestimate lambda_min, hence the safety factor; this is an
+      estimate, not a certificate.
 
     Raises ``LinAlgError`` when a Ritz value falls below -1e-8 * upper, which
     proves ``L`` is not PSD.
@@ -150,7 +158,11 @@ def spectral_bounds(L):
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
     diag = np.diag(L)
-    radii = np.abs(L).sum(axis=1) - np.abs(diag)
+    radii = np.empty(d)
+    for start in range(0, d, _GERSHGORIN_ROWS):  # |L| one block at a time, not d x d
+        block = slice(start, start + _GERSHGORIN_ROWS)
+        radii[block] = np.abs(L[block]).sum(axis=1)
+    radii -= np.abs(diag)
     upper = float(np.max(diag + radii))
     lower = float(np.min(diag - radii))
     if lower > 0:
@@ -159,6 +171,9 @@ def spectral_bounds(L):
     basis = np.empty((steps, d))  # Lanczos vectors, one per row
     tri = np.zeros((steps, steps))  # the Lanczos tridiagonal matrix
     q = np.ones(d) / np.sqrt(d)
+    start = 0  # first step of the current Krylov block
+    closed = np.inf  # smallest Ritz value of the invariant subspaces closed so far
+    restarts = substream(0, "lanczos-restart")
     for j in range(steps):
         basis[j] = q
         w = L @ q
@@ -166,14 +181,25 @@ def spectral_bounds(L):
         for _ in range(2):  # full reorthogonalization; one pass lets errors grow
             w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
         beta = np.linalg.norm(w)
-        ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
-        theta = float(ritz[0])
+        ritz, vecs = np.linalg.eigh(tri[start : j + 1, start : j + 1])
+        theta = min(closed, float(ritz[0]))
         if theta < -1e-8 * upper:
             raise np.linalg.LinAlgError(
                 f"kernel is not positive semidefinite: Ritz value {theta:.6g}")
         if theta <= DELTA_FLOOR * upper:
             return SpectralBounds(lower=0.0, upper=upper, method="floor-witness")
-        if beta * abs(vecs[-1, 0]) <= _LANCZOS_RTOL * theta or j + 1 == steps:
+        if j + 1 == steps:
+            break
+        if beta <= _LANCZOS_BREAKDOWN * upper:
+            # The Krylov space is invariant: its Ritz values are eigenvalues,
+            # but the rest of the spectrum is unseen.  Restart orthogonally.
+            closed, start = theta, j + 1
+            q = restarts.standard_normal(d)
+            for _ in range(2):
+                q -= basis[: j + 1].T @ (basis[: j + 1] @ q)
+            q /= np.linalg.norm(q)
+            continue
+        if beta * abs(vecs[-1, 0]) <= _LANCZOS_RTOL * ritz[0]:
             break
         tri[j, j + 1] = tri[j + 1, j] = beta
         q = w / beta

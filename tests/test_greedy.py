@@ -10,6 +10,7 @@ from dppmap.greedy import (
     GainEstimate,
     GreedyState,
     Partition,
+    RowState,
     balanced_partition,
     batch_greedy,
     brute_force_map,
@@ -127,6 +128,16 @@ def test_lazy_matches_exact_on_many_kernels():
         assert lazy.stop_reason == exact.stop_reason
         assert np.abs(np.subtract(lazy.gains, exact.gains)).max(initial=0.0) <= 1e-10
         assert abs(sum(lazy.gains) - lazy.log_det) <= 1e-8
+        # singleton groups with ell = d re-score every candidate from the
+        # complements lazy reads, so alg1 makes lazy's picks; it stops on a
+        # gain below 0 where lazy stops on a complement not above 1, and no
+        # kernel here leaves a complement of exactly 1
+        d = L.shape[0]
+        alg1 = partitioned_greedy(L, budget, p=d, ell=d)
+        assert alg1.selected == lazy.selected
+        assert alg1.gains == lazy.gains
+        stop = {"nonpositive-gain": "negative-gain"}.get(lazy.stop_reason, lazy.stop_reason)
+        assert alg1.stop_reason == stop
 
 
 def test_greedy_state_invariants():
@@ -229,15 +240,30 @@ def test_first_order_never_underestimates_exact_gain(d, data):
             break
         if np.isfinite(state.factor.gain(L[state.selected, i], L[i, i])):
             state.add(i)
+    rows = RowState(L, d)
+    for i in state.selected:
+        rows.add(i)
+    _, log_det = np.linalg.slogdet(L[np.ix_(rows.selected, rows.selected)])
+    assert abs(rows.log_det - log_det) <= 1e-8 * max(1.0, abs(log_det))
     rest = state.remaining_indices()
     p = data.draw(st.integers(1, 5))
     part = balanced_partition(rest, p, substream(seed, "partitions"))
+    solves, converged = state.cg_solves, state.cg_converged
     estimates = first_order_gains(state, part, L, max_iter=200)
     cols = np.array([e.candidate for e in estimates])
     exact = state.factor.gain_many(L[np.ix_(state.selected, cols)], np.diag(L)[cols])
     est = np.array([e.value for e in estimates])
     slack = 1e-10 * np.maximum(1.0, np.where(np.isfinite(exact), np.abs(exact), 0.0))
     assert (est >= exact - slack).all()
+    # the closed form from the rows is the value CG converges to
+    row_cols, row_est = rows.first_order(part)
+    assert np.array_equal(row_cols, cols)
+    assert (row_est >= exact - slack).all()
+    if state.cg_converged - converged == state.cg_solves - solves:
+        assert np.array_equal(np.isfinite(row_est), np.isfinite(est))
+        live = np.isfinite(est)
+        assert (np.abs(row_est[live] - est[live])
+                <= 1e-8 * np.maximum(1.0, np.abs(est[live]))).all()
 
 
 def test_first_order_error_shrinks_with_more_groups():
@@ -270,8 +296,7 @@ def test_partitioned_greedy_near_optimal_with_estimate_slack():
     # greedy with eps-approximate gains keeps (1 - 1/e) OPT - 2|X| eps
     for seed in range(5):
         L = kernel(12, seed)
-        res = partitioned_greedy(L, budget=6, p=3, seed=seed,
-                                 track_estimate_error=True)
+        res = partitioned_greedy(L, budget=6, p=3, seed=seed)
         opt = brute_force_map(L, budget=6)
         slack = 2 * res.size * res.metrics["epsilon_hat"]
         assert res.log_det >= (1.0 - 1.0 / np.e) * opt.log_det - slack - 1e-9

@@ -142,6 +142,19 @@ def test_spectral_bounds_floor_witness_on_rank_deficient_kernel():
     assert bounds.lower == 0.0
 
 
+@pytest.mark.parametrize("L", [
+    np.ones((2, 2)),
+    np.kron(np.eye(3), np.ones((2, 2))),
+    np.kron(np.eye(50), np.ones((4, 4))) + 0.05 * np.eye(200),
+], ids=["ones-2", "blocks-3x2", "blocks-50x4-shifted"])
+def test_spectral_bounds_reach_bottom_orthogonal_to_start(L):
+    # the all-ones start vector is an eigenvector of the top eigenvalue, so
+    # Lanczos closes after one step unless it restarts
+    bounds = spectral_bounds(L)
+    lam_min = np.linalg.eigvalsh(L).min()
+    assert bounds.method == "floor-witness" or bounds.lower <= lam_min
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(d=st.integers(1, 40), data=st.data())
 def test_spectral_bounds_certificates_hold(d, data):
