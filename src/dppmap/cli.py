@@ -2,7 +2,8 @@
 
 Subcommands: gen-kernel, solve, bench, sweep, variance, verify.  Exit codes:
 0 on success, 1 for usage or file-format problems, 2 for numerical failures
-(non-positive-definite input, CG breakdown, failed verification).
+(non-positive-definite input, CG breakdown, failed verification); a failing
+``solve`` names its solver in the message.
 
 ``--threads`` is applied to the BLAS thread-count environment variables
 before numpy is imported, so the heavy imports happen inside the handlers.
@@ -198,6 +199,8 @@ def _cmd_gen_kernel(args):
 
 
 def _cmd_solve(args):
+    import numpy as np
+
     from .bench import ExperimentConfig, solve_with
     from .kernel import validate_kernel
 
@@ -213,7 +216,10 @@ def _cmd_solve(args):
                     "m": args.m, "n": args.n, "ell": args.ell, "tol": args.tol,
                     "max_cg_iter": args.max_cg_iter, **_flat(provenance)})
     start = time.perf_counter()
-    result = solve_with(args.algo, L, config, seed=args.seed)
+    try:
+        result = solve_with(args.algo, L, config, seed=args.seed)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{args.algo}: {exc}") from exc
     ms = (time.perf_counter() - start) * 1000.0
     print(f"selected {result.size} items, log det {result.log_det:.6f}, "
           f"stop={result.stop_reason}, {ms:.1f} ms, "
@@ -392,16 +398,14 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"dppmap: error: invalid JSON in input file: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # includes KernelFormatError
-        print(f"dppmap: error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
+    except ValueError as exc:  # includes KernelFormatError and numpy's LinAlgError
         import numpy as np
 
         if isinstance(exc, np.linalg.LinAlgError):
             print(f"dppmap: numerical failure: {exc}", file=sys.stderr)
             return 2
-        raise
+        print(f"dppmap: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

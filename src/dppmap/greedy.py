@@ -2,22 +2,27 @@
 
 All solvers maximize log det of the kernel restricted to the selected set.
 ``exact_greedy`` (the textbook reference) scores every candidate each step
-with a triangular solve against a maintained Cholesky factor.
-``lazy_greedy`` selects the same sequence from a ``RowState``: incremental
-factor rows of all items, one O(t·d) update per accepted item, each gain the
-log of the Schur complement those rows already hold.  ``partitioned_greedy``
-prices candidates by a first-order expansion around a partition-averaged
-bordered kernel; from the same rows that estimate comes in closed form from
-two products, with no CG, and the top ``ell`` are re-scored from the kept
-complements.  Once the rows are kept an exact gain costs O(1) per candidate
-and an estimate O(t), so alg1 pays lazy's row update plus 2p passes over the
-rows and cannot beat lazy; the paper's saving exists only where the rows are
-not kept.  ``batch_greedy`` extends the expansion to k-item batches over a
-``GreedyState``: CG gives each averaged kernel's inverse columns, and the
-Chebyshev/Hutchinson estimator, with probe vectors shared across partitions,
-supplies the averaged log-determinant term.  Its single-item pool is
-``first_order_gains``, the CG form of alg1's estimate.
-Ties everywhere break toward the smallest item index (smallest batch id).
+with a triangular solve against a maintained Cholesky factor
+(``GreedyState``).  Every other solver keeps a ``RowState`` instead:
+incremental factor rows of all items, one O(t·d) update per accepted item
+(one (k x t)(t x d) product per accepted k-batch), each item's exact gain
+the log of the Schur complement those rows already hold.  ``lazy_greedy``
+takes the argmax of those gains and selects the same sequence as
+``exact_greedy``.  ``partitioned_greedy`` prices candidates by a first-order
+expansion around a partition-averaged bordered kernel; from the rows that
+estimate comes in closed form from two products, with no CG, and
+``top_l_refine`` re-scores the top ``ell`` from the kept complements.  Once
+the rows are kept an exact gain costs O(1) per candidate and an estimate
+O(t), so alg1 pays lazy's row update plus 2p passes over the rows and cannot
+beat lazy; the paper's saving exists only where the rows are not kept.
+``batch_greedy`` extends the expansion to k-item batches: CG gives each
+averaged kernel's inverse columns, and the Chebyshev/Hutchinson estimator,
+with probe vectors shared across partitions, supplies the averaged
+log-determinant term.  Its single-item pool is alg1's closed form, and
+``top_l_refine`` scores its batches from the rows too.
+``first_order_gains`` is the CG form of the single-item estimate, kept as
+the reference the closed form is tested against.
+Ties everywhere break toward the smallest item index (smallest batch).
 """
 
 import itertools
@@ -25,6 +30,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from ._rng import substream
 from .kernel import spectral_bounds
@@ -47,7 +54,6 @@ __all__ = [
     "GreedyState",
     "RowState",
     "Partition",
-    "GainEstimate",
     "SelectionResult",
     "balanced_partition",
     "brute_force_map",
@@ -61,25 +67,6 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 10**7
-
-
-@dataclass
-class GainEstimate:
-    """A candidate (item index or batch tuple) with an estimated or exact gain."""
-
-    candidate: object
-    value: float
-    kind: str  # "first-order" | "batch" | "exact"
-    group: int = -1
-
-    @property
-    def is_batch(self):
-        return isinstance(self.candidate, tuple)
-
-    def sort_key(self):
-        # descending value, then singles before batches, then smallest id
-        cid = self.candidate if self.is_batch else (self.candidate,)
-        return (-self.value, int(self.is_batch), cid)
 
 
 @dataclass
@@ -124,11 +111,7 @@ class SelectionResult:
 
 
 class GreedyState:
-    """Shared selection state: order, factor, log det, remaining mask.
-
-    Also mirrors L[X, X] in a growing buffer so bordered operators can use a
-    contiguous view instead of re-gathering the selected block each iteration.
-    """
+    """``exact_greedy``'s reference state: order, factor, log det, remaining mask."""
 
     def __init__(self, L, capacity=None):
         d = L.shape[0]
@@ -137,13 +120,8 @@ class GreedyState:
         self.selected = []
         self.remaining = np.ones(d, dtype=bool)
         self.factor = CholeskyFactor(cap)
-        self._sub = np.zeros((min(cap, 256), min(cap, 256)))
-        self._cap = cap
         self.gains = []
         self.exact_evals = 0
-        self.cg_iters = 0
-        self.cg_solves = 0
-        self.cg_converged = 0
 
     @property
     def size(self):
@@ -153,64 +131,19 @@ class GreedyState:
     def log_det(self):
         return self.factor.log_det
 
-    def base(self):
-        """Contiguous view of L[X, X] in selection order."""
-        t = self.size
-        return self._sub[:t, :t]
-
     def remaining_indices(self):
         return np.flatnonzero(self.remaining)
-
-    def _ensure_sub(self, need):
-        if need <= self._sub.shape[0]:
-            return
-        new = min(self._cap, max(need, 2 * self._sub.shape[0]))
-        grown = np.zeros((new, new))
-        t = self.size
-        grown[:t, :t] = self._sub[:t, :t]
-        self._sub = grown
 
     def add(self, i, border=None):
         """Accept item ``i``; returns the exact extension gain."""
         i = int(i)
-        t = self.size
         if border is None:
-            border = self.L[self.selected, i] if t else None
+            border = self.L[self.selected, i] if self.size else None
         g = self.factor.extend(border, float(self.L[i, i]))
-        self._ensure_sub(t + 1)
-        if t:
-            self._sub[t, :t] = border
-            self._sub[:t, t] = border
-        self._sub[t, t] = self.L[i, i]
         self.selected.append(i)
         self.remaining[i] = False
         self.gains.append(g)
         return g
-
-    def add_batch(self, items):
-        """Accept a batch of items jointly; returns the block gain."""
-        items = [int(i) for i in items]
-        t = self.size
-        kk = len(items)
-        border = self.L[np.ix_(self.selected, items)] if t else None
-        corner = self.L[np.ix_(items, items)]
-        corner = (corner + corner.T) / 2.0
-        g = self.factor.extend_block(border, corner)
-        self._ensure_sub(t + kk)
-        if t:
-            self._sub[t : t + kk, :t] = border.T
-            self._sub[:t, t : t + kk] = border
-        self._sub[t : t + kk, t : t + kk] = corner
-        self.selected.extend(items)
-        self.remaining[items] = False
-        self.gains.append(g)
-        return g
-
-    def record_cg(self, report):
-        cols = report.col_iterations
-        self.cg_solves += int(cols.size)
-        self.cg_iters += int(cols.sum())
-        self.cg_converged += int(report.col_converged.sum())
 
     def result(self, algorithm, stop_reason, **metrics):
         return SelectionResult(
@@ -219,9 +152,6 @@ class GreedyState:
             gains=list(self.gains),
             log_det=self.log_det,
             exact_evals=self.exact_evals,
-            cg_iters=self.cg_iters,
-            cg_solves=self.cg_solves,
-            cg_converged=self.cg_converged,
             stop_reason=stop_reason,
             metrics=metrics,
         )
@@ -234,8 +164,11 @@ class RowState:
     (Chen, Zhang & Zhou 2018), and ``schur`` = diag(L) - colsum(R**2) holds
     every item's Schur complement against the selection, so an item's exact
     gain is the log of its complement and no factor of L[X, X] is kept.
-    ``add`` appends one O(t·d) row; the row buffer grows by doubling from 256
-    rows up to ``capacity``.
+    ``add`` appends one O(t·d) row and ``add_batch`` k rows at once; the row
+    buffer grows by doubling from 256 rows up to ``capacity``.  Both raise
+    LinAlgError naming the item (or batch) and the step when the complement
+    is not positive (definite).  Conjugate-gradient columns run against the
+    selection are counted here too.
     """
 
     def __init__(self, L, capacity):
@@ -250,20 +183,31 @@ class RowState:
         self.gains = []
         self.log_det = 0.0
         self.exact_evals = 0
+        self.cg_iters = 0
+        self.cg_solves = 0
+        self.cg_converged = 0
 
     @property
     def size(self):
         return len(self.selected)
 
+    def _grow(self, need):
+        have = self.rows.shape[0]
+        if need > have:
+            grown = np.zeros((min(self._cap, max(need, 2 * have)), self.rows.shape[1]))
+            grown[:have] = self.rows
+            self.rows = grown
+
     def add(self, i):
-        """Accept item ``i``, whose complement must be positive; returns its gain."""
+        """Accept item ``i``; returns its gain, the log of its complement."""
         i = int(i)
         t = self.size
         s = self.schur[i]
-        if t == self.rows.shape[0]:
-            grown = np.zeros((min(self._cap, 2 * t), self.rows.shape[1]))
-            grown[:t] = self.rows
-            self.rows = grown
+        if not s > 0:
+            raise np.linalg.LinAlgError(
+                f"item {i} at step {len(self.gains)}: Schur complement {s:.3g} "
+                f"against {t} selected items is not positive")
+        self._grow(t + 1)
         rows = self.rows
         e = (self.L[i] - rows[:t, i] @ rows[:t]) / np.sqrt(s)
         rows[t] = e
@@ -274,6 +218,56 @@ class RowState:
         self.log_det += g
         self.remaining[i] = False
         return g
+
+    def add_batch(self, items):
+        """Accept ``items`` jointly; returns the joint gain log det S.
+
+        S = L[B, B] - R_B^T R_B is the batch's Schur complement, C its
+        Cholesky factor, and the k new rows are C^-1 (L[B, :] - R_B^T R): one
+        (k x t)(t x d) product, the same rows, complements and log det as k
+        calls to ``add``.
+        """
+        items = [int(i) for i in items]
+        t = self.size
+        R = self.rows[:t]
+        rb = R[:, items]
+        c, info = dpotrf(self.L[np.ix_(items, items)] - rb.T @ rb, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"batch {items} at step {len(self.gains)}: Schur complement against "
+                f"{t} selected items is not positive definite")
+        self._grow(t + len(items))
+        e = solve_triangular(c, self.L[items] - rb.T @ R, lower=True, check_finite=False)
+        self.rows[t : t + len(items)] = e
+        self.schur -= np.einsum("kd,kd->d", e, e)
+        g = float(2.0 * np.sum(np.log(np.diag(c))))
+        self.selected.extend(items)
+        self.gains.append(g)
+        self.log_det += g
+        self.remaining[items] = False
+        return g
+
+    def batch_gains(self, batches):
+        """Joint gains log det(L[B, B] - R_B^T R_B) of the rows B of ``batches``.
+
+        -inf where that Schur complement is not positive definite.
+        """
+        batches = np.asarray(batches, dtype=np.intp)
+        rb = self.rows[: self.size][:, batches]  # (t, nb, k)
+        schurs = (self.L[batches[:, :, None], batches[:, None, :]]
+                  - np.einsum("tbi,tbj->bij", rb, rb))
+        out = np.full(batches.shape[0], -np.inf)
+        for b, s in enumerate(schurs):
+            c, info = dpotrf(s, lower=1)
+            if info == 0:
+                out[b] = 2.0 * np.sum(np.log(np.diag(c)))
+        return out
+
+    def record_cg(self, report):
+        cols = report.col_iterations
+        self.cg_solves += int(cols.size)
+        self.cg_iters += int(cols.sum())
+        self.cg_converged += int(report.col_converged.sum())
 
     def exact_gains(self, items):
         """Exact log gains of ``items``; -inf where the complement is not positive."""
@@ -322,6 +316,9 @@ class RowState:
             gains=list(self.gains),
             log_det=self.log_det,
             exact_evals=self.exact_evals,
+            cg_iters=self.cg_iters,
+            cg_solves=self.cg_solves,
+            cg_converged=self.cg_converged,
             stop_reason=stop_reason,
             metrics=metrics,
         )
@@ -457,100 +454,77 @@ def _grouped_inverse_columns(kernels, tol, max_iter, state):
         return out
 
 
-def first_order_gains(state, partition, L, tol=1e-10, max_iter=30):
-    """First-order gain estimates for every candidate in ``partition``.
+def first_order_gains(state, partition, tol=1e-10, max_iter=30):
+    """CG form of ``RowState.first_order``, kept as its reference.
 
     For each group the candidates' bordered kernels are averaged; the gain of
     member i is the inner product of its deviation from the average with the
     average's last inverse column, plus the exact Schur log-gain of the
-    average itself.  The Schur log-gains of all groups come from one
-    triangular solve against the maintained factor; a group whose averaged
-    Schur complement is nonpositive is priced -inf for every member.  Each
-    remaining group costs one CG run, for its inverse column.
+    average itself, log(c - W·W) with W the mean of the group's rows and c
+    the mean of its diagonal.  A group whose averaged Schur complement is
+    nonpositive is priced -inf for every member.  Each remaining group costs
+    one CG run, for its inverse column, counted on ``state``.  Returns
+    (candidates, estimates) in ``RowState.first_order``'s order.
     """
+    L = state.L
     sel = state.selected
     t = state.size
-    base = state.base()
-    diag = np.diag(L)
+    base = L[np.ix_(sel, sel)]
+    R = state.rows[:t]
     groups = partition.groups
-    blocks = []
-    kernels = []
-    for g in groups:
-        blk = L[np.ix_(sel, g)] if t else np.zeros((0, g.size))
-        blocks.append(blk)
-        kernels.append(border_average(L, sel, g, base=base, columns=blk))
-    gammas = state.factor.gain_many(np.hstack([bk.border for bk in kernels]),
-                                    np.array([bk.corner[0, 0] for bk in kernels]))
-    live = np.flatnonzero(np.isfinite(gammas))
+    blocks = [L[np.ix_(sel, g)] for g in groups]
+    kernels = [border_average(L, sel, g, base=base, columns=blk)
+               for g, blk in zip(groups, blocks)]
+    w = np.stack([R[:, g].mean(axis=1) for g in groups], axis=1)
+    s = np.array([bk.corner[0, 0] for bk in kernels]) - np.einsum("tg,tg->g", w, w)
+    gammas = np.full(s.shape, -np.inf)
+    live = np.flatnonzero(s > 0)
+    gammas[live] = np.log(s[live])
     zs = [None] * len(kernels)
     if live.size:
         solved = _grouped_inverse_columns([kernels[j] for j in live], tol, max_iter, state)
         for j, z in zip(live, solved):
             zs[j] = z
 
-    estimates = []
+    est = []
     for j, (g, blk, bk) in enumerate(zip(groups, blocks, kernels)):
         if zs[j] is None:
-            estimates.extend(
-                GainEstimate(int(c), -np.inf, "first-order", j) for c in g
-            )
+            est.append(np.full(g.size, -np.inf))
             continue
-        z_top = zs[j][:t, 0]
-        z_bot = zs[j][t, 0]
         db = blk - bk.border
-        dc = diag[g] - bk.corner[0, 0]
-        vals = 2.0 * (z_top @ db) + z_bot * dc + gammas[j]
-        estimates.extend(
-            GainEstimate(int(c), float(v), "first-order", j) for c, v in zip(g, vals)
-        )
-    return estimates
+        dc = state.diag[g] - bk.corner[0, 0]
+        est.append(2.0 * (zs[j][:t, 0] @ db) + zs[j][t, 0] * dc + gammas[j])
+    return np.concatenate(groups), np.concatenate(est)
 
 
-def top_l_refine(estimates, ell, state, L):
-    """Exactly re-score the ell highest estimates; return the best as exact.
+def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=None):
+    """Exactly re-score the ``ell`` highest estimates; returns (gain, winner).
 
-    Single items are scored through the maintained factor in one blocked
-    solve, batch candidates via one blocked solve plus small factorizations.
-    Ties break toward singles and then the smallest candidate id.  Returns
-    None when there is nothing to score.
+    ``items`` are item ids priced ``estimates``; ``batches`` is an optional
+    (s, k) array of item batches priced ``batch_estimates``.  The cut is a
+    stable sort of the item estimates followed by the batch estimates, so
+    singles go first on equal estimates.  Items are scored from the kept
+    complements, batches by ``RowState.batch_gains``.  The winner has the
+    highest exact gain; on ties a single beats a batch, then the smallest
+    item wins, then the lexicographically smallest batch.  It is an item id,
+    or a batch as a tuple of item ids.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    if not estimates:
-        return None
-    if len(estimates) > ell:
-        values = np.array([e.value for e in estimates])
-        order = np.argsort(-values, kind="stable")[:ell]
-        chosen = [estimates[i] for i in order]
-    else:
-        chosen = estimates
-    t = state.size
-    refined = []
-    singles = [e for e in chosen if not e.is_batch]
-    batches = [e for e in chosen if e.is_batch]
-    if singles:
-        cols = np.array([e.candidate for e in singles])
-        borders = L[np.ix_(state.selected, cols)] if t else np.zeros((0, cols.size))
-        gains = state.factor.gain_many(borders, np.diag(L)[cols])
-        state.exact_evals += int(cols.size)
-        refined.extend(
-            GainEstimate(int(c), float(g), "exact", e.group)
-            for e, c, g in zip(singles, cols, gains)
-        )
-    if batches:
-        idx = np.array([e.candidate for e in batches])
-        nb, k = idx.shape
-        borders = (L[np.ix_(state.selected, idx.ravel())].reshape(t, nb, k)
-                   if t else np.zeros((0, nb, k)))
-        corners = L[idx[:, :, None], idx[:, None, :]]
-        corners = (corners + corners.transpose(0, 2, 1)) / 2.0
-        gains = state.factor.gain_block_many(borders, corners)
-        state.exact_evals += nb
-        refined.extend(
-            GainEstimate(e.candidate, float(g), "exact", e.group)
-            for e, g in zip(batches, gains)
-        )
-    return min(refined, key=GainEstimate.sort_key)
+    n = len(items)
+    values = estimates if batches is None else np.concatenate([estimates, batch_estimates])
+    top = np.argsort(-values, kind="stable")[:ell]
+    state.exact_evals += int(top.size)
+    singles = items[top[top < n]]
+    gains = state.exact_gains(singles)
+    best = gains.max(initial=-np.inf)
+    if batches is not None and (top >= n).any():
+        chosen = batches[top[top >= n] - n]
+        batch_gains = state.batch_gains(chosen)
+        if batch_gains.max() > best or not singles.size:
+            best = batch_gains.max()
+            return float(best), min(map(tuple, chosen[batch_gains == best].tolist()))
+    return float(best), int(singles[gains == best].min())
 
 
 def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
@@ -585,18 +559,15 @@ def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
         seen = np.isfinite(est) & np.isfinite(exact)
         if seen.any():
             eps_hat = max(eps_hat, float(np.abs(est[seen] - exact[seen]).max()))
-        top = np.argsort(-est, kind="stable")[:ell]
-        state.exact_evals += int(top.size)
-        gains = exact[top]
-        best = gains.max()
-        if best < 0:
+        gain, i = top_l_refine(state, ell, cand, est)
+        if gain < 0:
             stop = "negative-gain"
             break
-        state.add(cand[top][gains == best].min())
+        state.add(i)
     return state.result("alg1", stop, epsilon_hat=eps_hat)
 
 
-def _batch_gain_estimates(state, L, batches, partition, probes, expansion,
+def _batch_gain_estimates(state, batches, partition, probes, expansion,
                           scale, delta, tol, max_iter):
     """Batch-pool estimates: shared-probe averaged log-dets plus linear terms.
 
@@ -607,14 +578,15 @@ def _batch_gain_estimates(state, L, batches, partition, probes, expansion,
     block's — with the very same probes and expansion.  Differencing against
     the reference cancels the expansion's systematic error and most probe
     noise (the shared-probe variance argument), so batch and single estimates
-    stay comparable even when the spectrum strains the expansion.
+    stay comparable even when the spectrum strains the expansion.  Returns
+    (batches, estimates) in pool order: groups in order, members sorted.
     """
+    L = state.L
     sel = state.selected
     t = state.size
-    base = state.base()
+    base = L[np.ix_(sel, sel)]
     s_total, k = batches.shape
-    all_borders = (L[np.ix_(sel, batches.ravel())].reshape(t, s_total, k)
-                   if t else np.zeros((0, s_total, k)))
+    all_borders = L[np.ix_(sel, batches.ravel())].reshape(t, s_total, k)
     all_corners = L[batches[:, :, None], batches[:, None, :]]
     kernels = []
     stacks = []
@@ -624,7 +596,7 @@ def _batch_gain_estimates(state, L, batches, partition, probes, expansion,
         corners3 = all_corners[grp]
         bk = border_average(L, sel, idx, base=base,
                             columns=borders3.reshape(t, idx.size), corners=corners3)
-        stacks.append((idx, borders3, corners3))
+        stacks.append((borders3, corners3))
         kernels.append(bk)
     zs = _grouped_inverse_columns(kernels, tol, max_iter, state)
 
@@ -640,12 +612,9 @@ def _batch_gain_estimates(state, L, batches, partition, probes, expansion,
     gammas = np.array([quad[j * m : (j + 1) * m].mean() for j in range(ngroups)]) - ref_mean
 
     estimates = []
-    for j, (grp, bk, (idx, borders3, corners3)) in enumerate(zip(partition.groups, kernels, stacks)):
+    for j, (grp, bk, (borders3, corners3)) in enumerate(zip(partition.groups, kernels, stacks)):
         if zs[j] is None or not np.isfinite(gammas[j]):
-            estimates.extend(
-                GainEstimate(tuple(int(v) for v in batches[b]), -np.inf, "batch", j)
-                for b in grp
-            )
+            estimates.append(np.full(grp.size, -np.inf))
             continue
         z = zs[j]
         z_top = z[:t]
@@ -653,13 +622,9 @@ def _batch_gain_estimates(state, L, batches, partition, probes, expansion,
         z_bot = (z_bot + z_bot.T) / 2.0
         db = borders3 - bk.border[:, None, :]
         dc = corners3 - bk.corner
-        lin = 2.0 * np.einsum("tbk,tk->b", db, z_top) if t else np.zeros(idx.shape[0])
-        lin = lin + np.einsum("bij,ij->b", dc, z_bot) + gammas[j]
-        estimates.extend(
-            GainEstimate(tuple(int(v) for v in idx[b]), float(lin[b]), "batch", j)
-            for b in range(idx.shape[0])
-        )
-    return estimates
+        lin = 2.0 * np.einsum("tbk,tk->b", db, z_top) if t else np.zeros(grp.size)
+        estimates.append(lin + np.einsum("bij,ij->b", dc, z_bot) + gammas[j])
+    return batches[np.concatenate(partition.groups)], np.concatenate(estimates)
 
 
 def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
@@ -673,10 +638,10 @@ def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
     log-determinant estimate (m probes, degree-n expansion; the probes are
     shared across groups and with a selected-block reference operator, so
     group-to-group and batch-vs-single comparisons cancel common noise).
-    A single-item pool (``first_order_gains``) runs alongside; the top ``ell``
-    estimates across both pools are re-scored exactly and the best accepted,
-    so late iterations fall back to single items when whole batches stop
-    paying.
+    A single-item pool (``RowState.first_order``, in closed form from the
+    kept rows) runs alongside; the top ``ell`` estimates across both pools
+    are re-scored exactly from the rows and the best accepted, so late
+    iterations fall back to single items when whole batches stop paying.
 
     Spectral bounds of the full kernel cover every averaged bordered kernel
     (eigenvalue interlacing survives averaging), so one ``bounds`` computation
@@ -686,7 +651,7 @@ def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
     cap = _check_budget(budget, d)
-    state = GreedyState(L, capacity=cap)
+    state = RowState(L, cap)
     rng_part = substream(seed, "partitions")
     rng_batch = substream(seed, "batches")
     rng_probe = substream(seed, "probes")
@@ -699,34 +664,27 @@ def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
     single_steps = 0
     stop = "budget" if budget is not None else "exhausted"
     while state.size < cap:
-        rest = state.remaining_indices()
+        rest = np.flatnonzero(state.remaining)
         if rest.size == 0:
             stop = "exhausted"
             break
         t = state.size
-        batch_ok = rest.size >= k and (budget is None or t + k <= cap)
-        pool_b = []
-        if batch_ok:
+        pool_b = est_b = None
+        if rest.size >= k and t + k <= cap:
             batches = np.asarray(sampler(rest, k, s, rng_batch))
             part_b = balanced_partition(np.arange(batches.shape[0]), p, rng_part)
             probes = rademacher_probes(t + k, m, rng_probe)
-            pool_b = _batch_gain_estimates(
-                state, L, batches, part_b, probes, expansion,
-                scale, delta, tol, max_iter,
-            )
-        part_s = balanced_partition(rest, p, rng_part)
-        pool_s = first_order_gains(state, part_s, L, tol=tol, max_iter=max_iter)
-        best = top_l_refine(pool_s + pool_b, ell, state, L)
-        if best is None:
-            stop = "exhausted"
-            break
-        if best.value < 0:
+            pool_b, est_b = _batch_gain_estimates(
+                state, batches, part_b, probes, expansion, scale, delta, tol, max_iter)
+        cand, est = state.first_order(balanced_partition(rest, p, rng_part))
+        gain, best = top_l_refine(state, ell, cand, est, pool_b, est_b)
+        if gain < 0:
             stop = "negative-gain"
             break
-        if best.is_batch:
-            state.add_batch(best.candidate)
+        if isinstance(best, tuple):
+            state.add_batch(best)
             batch_steps += 1
         else:
-            state.add(best.candidate)
+            state.add(best)
             single_steps += 1
     return state.result("alg2", stop, batch_steps=batch_steps, single_steps=single_steps)

@@ -192,3 +192,18 @@ def test_variance_subcommand(tmp_path):
     with open(out_csv, newline="") as fh:
         records = list(csv.reader(fh))
     assert len(records) == 4
+
+
+def test_numerical_failure_names_the_solver(monkeypatch, capsys):
+    import numpy as np
+
+    import dppmap.bench
+
+    def fail(algo, L, config, seed=0):
+        raise np.linalg.LinAlgError("item 3 at step 2: Schur complement 0 is not positive")
+
+    monkeypatch.setattr(dppmap.bench, "solve_with", fail)
+    assert main(["solve", "--dim", "12", "--algo", "alg2", "--budget", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "alg2: item 3 at step 2" in err

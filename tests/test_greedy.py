@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dppmap._rng import substream
 from dppmap.greedy import (
-    GainEstimate,
     GreedyState,
     Partition,
     RowState,
@@ -27,7 +26,7 @@ from dppmap.kernel import (
     generate_synthetic_kernel,
     spectral_bounds,
 )
-from dppmap.linalg import cholesky_logdet, schur_marginal_gain
+from dppmap.linalg import CholeskyFactor, cholesky_logdet, schur_marginal_gain
 
 
 def kernel(dim, seed, shift=1.01):
@@ -149,14 +148,83 @@ def test_greedy_state_invariants():
     assert not state.remaining[[3, 8, 0]].any()
     assert state.remaining.sum() == 12
     sub = L[np.ix_(state.selected, state.selected)]
-    assert np.array_equal(state.base(), sub)
     assert abs(state.log_det - cholesky_logdet(sub)[0]) <= 1e-8
 
-    other = GreedyState(L)
-    other.add(3)
-    other.add_batch([8, 0])
-    assert other.selected == [3, 8, 0]
-    assert abs(other.log_det - state.log_det) <= 1e-10
+
+def test_row_state_refuses_a_nonpositive_complement():
+    L = np.ones((2, 2))
+    state = RowState(L, 2)
+    state.add(0)
+    with pytest.raises(np.linalg.LinAlgError, match=r"item 1 at step 1: "):
+        state.add(1)
+    assert state.selected == [0]
+    assert np.isfinite(state.rows).all()
+    with pytest.raises(np.linalg.LinAlgError, match=r"batch \[0, 1\] at step 0: "):
+        RowState(L, 2).add_batch([0, 1])
+
+
+def _close(a, b, tol):
+    return (np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(d=st.integers(2, 64), data=st.data())
+def test_row_state_add_batch_matches_single_adds(d, data):
+    feature_dim = data.draw(st.integers(1, d))
+    shift = data.draw(st.sampled_from([0.0, 1.01]))
+    seed = data.draw(st.integers(0, 2**16))
+    L = generate_synthetic_kernel(SyntheticConfig(
+        dim=d, seed=seed, feature_dim=feature_dim, monotone_shift=shift))
+    ref = GreedyState(L)
+    # a prefix kept below the rank, as in the estimator property below
+    rank = d if shift else feature_dim
+    size = data.draw(st.integers(0, rank - 1))
+    for i in substream(seed, "prefix").permutation(d):
+        if ref.size == size:
+            break
+        if np.isfinite(ref.factor.gain(L[ref.selected, i], L[i, i])):
+            ref.add(i)
+    prefix = ref.selected
+    split = data.draw(st.integers(0, len(prefix)))
+    singles = RowState(L, d)
+    for i in prefix:
+        singles.add(i)
+    batched = RowState(L, d)
+    for i in prefix[:split]:
+        batched.add(i)
+    if split < len(prefix):
+        batched.add_batch(prefix[split:])
+    assert batched.selected == prefix
+    t = len(prefix)
+    assert _close(batched.rows[:t], singles.rows[:t], 1e-10)
+    assert _close(batched.schur, singles.schur, 1e-10)
+    assert _close(batched.log_det, singles.log_det, 1e-10)
+    _, log_det = np.linalg.slogdet(L[np.ix_(prefix, prefix)])
+    assert _close(batched.log_det, log_det, 1e-8)
+
+    # joint gains of batches of the remaining items, against the factor's;
+    # a batch no larger than the rank left is generically nonsingular, and
+    # an all-zero item makes every batch holding it singular exactly
+    rest = ref.remaining_indices()
+    if not rest.size:
+        return
+    k = data.draw(st.integers(1, min(4, rest.size, rank - t)))
+    batches = sample_batches(rest, k, 8, substream(seed, "batches"))
+    zero = data.draw(st.sampled_from([None, *batches[0]]))
+    if zero is not None:
+        L = L.copy()
+        L[zero, :] = L[:, zero] = 0.0
+        singles = RowState(L, d)
+        for i in prefix:
+            singles.add(i)
+    factor = CholeskyFactor.from_matrix(L[np.ix_(prefix, prefix)])
+    borders = L[np.ix_(prefix, batches.ravel())].reshape(t, *batches.shape)
+    expected = factor.gain_block_many(borders, L[batches[:, :, None], batches[:, None, :]])
+    gains = singles.batch_gains(batches)
+    assert np.array_equal(np.isfinite(gains), np.isfinite(expected))
+    assert zero is None or not np.isfinite(gains[0])
+    live = np.isfinite(expected)
+    assert _close(gains[live], expected[live], 1e-10)
 
 
 def test_budget_validation():
@@ -189,34 +257,42 @@ def test_balanced_partition_properties():
         balanced_partition(items, 0, rng)
 
 
+def _rows_and_factor(L, prefix):
+    """A RowState and the reference GreedyState on the same selection."""
+    rows = RowState(L, L.shape[0])
+    ref = GreedyState(L)
+    for i in prefix:
+        rows.add(i)
+        ref.add(i)
+    return rows, ref
+
+
 def test_first_order_exact_for_singleton_partitions():
     L = kernel(18, 4)
-    state = GreedyState(L)
-    for i in (4, 9, 2):
-        state.add(i)
-    rest = state.remaining_indices()
+    state, ref = _rows_and_factor(L, (4, 9, 2))
+    rest = ref.remaining_indices()
     part = Partition(groups=[np.array([i]) for i in rest])
-    for est in first_order_gains(state, part, L):
-        exact = schur_marginal_gain(L, state.selected, est.candidate)
-        assert abs(est.value - exact) <= 1e-7
+    cand, est = first_order_gains(state, part)
+    assert np.array_equal(cand, rest)
+    for c, value in zip(cand, est):
+        exact = schur_marginal_gain(L, state.selected, int(c))
+        assert abs(value - exact) <= 1e-7
     # a singleton group has no deviation from its average, so even one CG
     # iteration leaves every estimate at the exact gain
-    exact = state.factor.gain_many(L[np.ix_(state.selected, rest)], np.diag(L)[rest])
-    capped = [e.value for e in first_order_gains(state, part, L, max_iter=1)]
-    assert np.abs(np.array(capped) - exact).max() <= 1e-12
+    exact = ref.factor.gain_many(L[np.ix_(ref.selected, rest)], np.diag(L)[rest])
+    _, capped = first_order_gains(state, part, max_iter=1)
+    assert np.abs(capped - exact).max() <= 1e-12
 
 
 def test_first_order_costs_two_cg_runs_per_group():
     L = kernel(40, 5)
-    state = GreedyState(L)
-    for i in (1, 17, 30):
-        state.add(i)
-    rest = state.remaining_indices()
+    state, _ = _rows_and_factor(L, (1, 17, 30))
+    rest = np.flatnonzero(state.remaining)
     for p in (1, 4, 7):
         before = state.cg_solves
         part = balanced_partition(rest, p, substream(p, "partitions"))
-        first_order_gains(state, part, L)
-        # one inverse column per group; the Schur terms come from the factor
+        first_order_gains(state, part)
+        # one inverse column per group; the Schur terms come from the rows
         assert state.cg_solves - before == p
 
 
@@ -230,36 +306,33 @@ def test_first_order_never_underestimates_exact_gain(d, data):
     seed = data.draw(st.integers(0, 2**16))
     L = generate_synthetic_kernel(SyntheticConfig(
         dim=d, seed=seed, feature_dim=feature_dim, monotone_shift=shift))
-    state = GreedyState(L)
+    ref = GreedyState(L)
     # a prefix that spans the kernel's rank leaves complements that are zero
     # up to rounding, so both sides would compare noise
     rank = d if shift else feature_dim
     size = data.draw(st.integers(0, rank - 1))
     for i in substream(seed, "prefix").permutation(d):
-        if state.size == size:
+        if ref.size == size:
             break
-        if np.isfinite(state.factor.gain(L[state.selected, i], L[i, i])):
-            state.add(i)
+        if np.isfinite(ref.factor.gain(L[ref.selected, i], L[i, i])):
+            ref.add(i)
     rows = RowState(L, d)
-    for i in state.selected:
+    for i in ref.selected:
         rows.add(i)
     _, log_det = np.linalg.slogdet(L[np.ix_(rows.selected, rows.selected)])
     assert abs(rows.log_det - log_det) <= 1e-8 * max(1.0, abs(log_det))
-    rest = state.remaining_indices()
+    rest = ref.remaining_indices()
     p = data.draw(st.integers(1, 5))
     part = balanced_partition(rest, p, substream(seed, "partitions"))
-    solves, converged = state.cg_solves, state.cg_converged
-    estimates = first_order_gains(state, part, L, max_iter=200)
-    cols = np.array([e.candidate for e in estimates])
-    exact = state.factor.gain_many(L[np.ix_(state.selected, cols)], np.diag(L)[cols])
-    est = np.array([e.value for e in estimates])
+    cols, est = first_order_gains(rows, part, max_iter=200)
+    exact = ref.factor.gain_many(L[np.ix_(ref.selected, cols)], np.diag(L)[cols])
     slack = 1e-10 * np.maximum(1.0, np.where(np.isfinite(exact), np.abs(exact), 0.0))
     assert (est >= exact - slack).all()
     # the closed form from the rows is the value CG converges to
     row_cols, row_est = rows.first_order(part)
     assert np.array_equal(row_cols, cols)
     assert (row_est >= exact - slack).all()
-    if state.cg_converged - converged == state.cg_solves - solves:
+    if rows.cg_converged == rows.cg_solves:
         assert np.array_equal(np.isfinite(row_est), np.isfinite(est))
         live = np.isfinite(est)
         assert (np.abs(row_est[live] - est[live])
@@ -272,17 +345,14 @@ def test_first_order_error_shrinks_with_more_groups():
         L = kernel(300, seed)
         warm = exact_greedy(L, budget=10)
         for p in (1, 10):
-            state = GreedyState(L)
-            for i in warm.selected:
-                state.add(i)
-            rest = state.remaining_indices()
+            state, ref = _rows_and_factor(L, warm.selected)
+            rest = ref.remaining_indices()
             part = balanced_partition(rest, p, substream(seed, f"groups-{p}"))
-            ests = first_order_gains(state, part, L)
-            borders = L[np.ix_(state.selected, rest)]
+            cand, est = first_order_gains(state, part)
+            borders = L[np.ix_(ref.selected, rest)]
             exact = dict(zip(rest.tolist(),
-                             state.factor.gain_many(borders, np.diag(L)[rest])))
-            errs[p].append(np.mean([abs(e.value - exact[e.candidate])
-                                    for e in ests]))
+                             ref.factor.gain_many(borders, np.diag(L)[rest])))
+            errs[p].append(np.mean([abs(v - exact[c]) for c, v in zip(cand.tolist(), est)]))
     assert np.median(errs[10]) < np.median(errs[1])
 
 
@@ -349,43 +419,34 @@ def test_sample_batches_full_batch_and_errors():
 
 def test_top_l_refine_full_width_is_exact_argmax():
     L = kernel(20, 11, shift=0.0)
-    state = GreedyState(L)
-    for i in (2, 13):
-        state.add(i)
-    rest = state.remaining_indices()
+    state, _ = _rows_and_factor(L, (2, 13))
+    rest = np.flatnonzero(state.remaining)
     rng = substream(11, "noise")
-    estimates = [GainEstimate(int(i), float(rng.standard_normal()), "first-order")
-                 for i in rest]  # garbage estimates: refinement must fix them
-    best = top_l_refine(estimates, ell=len(estimates), state=state, L=L)
+    estimates = rng.standard_normal(rest.size)  # garbage: refinement must fix them
+    gain, best = top_l_refine(state, rest.size, rest, estimates)
     exact = {i: schur_marginal_gain(L, state.selected, int(i)) for i in rest}
     true_best = max(sorted(exact), key=lambda i: exact[i])
-    assert best.kind == "exact"
-    assert best.candidate == true_best
-    assert abs(best.value - exact[true_best]) <= 1e-10
+    assert best == true_best
+    assert abs(gain - exact[true_best]) <= 1e-10
 
 
 def test_top_l_refine_ell_one_scores_single_leader():
     L = kernel(12, 12)
-    state = GreedyState(L)
-    state.add(0)
-    estimates = [GainEstimate(3, 5.0, "first-order"),
-                 GainEstimate(7, 1.0, "first-order")]
-    best = top_l_refine(estimates, ell=1, state=state, L=L)
-    assert best.candidate == 3
-    assert abs(best.value - schur_marginal_gain(L, [0], 3)) <= 1e-10
+    state, _ = _rows_and_factor(L, (0,))
+    gain, best = top_l_refine(state, 1, np.array([3, 7]), np.array([5.0, 1.0]))
+    assert best == 3
+    assert abs(gain - schur_marginal_gain(L, [0], 3)) <= 1e-10
 
 
 def test_top_l_refine_scores_batches_exactly():
     L = kernel(14, 13)
-    state = GreedyState(L)
-    state.add(5)
+    state, ref = _rows_and_factor(L, (5,))
     batch = (2, 9)
-    estimates = [GainEstimate(batch, 3.0, "batch"), GainEstimate(1, -4.0, "first-order")]
-    best = top_l_refine(estimates, ell=2, state=state, L=L)
-    expected = state.factor.gain_block(L[np.ix_([5], batch)], L[np.ix_(batch, batch)])
-    assert best.candidate == batch
-    assert abs(best.value - expected) <= 1e-10
-    assert best.kind == "exact"
+    gain, best = top_l_refine(state, 2, np.array([1]), np.array([-4.0]),
+                              np.array([batch]), np.array([3.0]))
+    expected = ref.factor.gain_block(L[np.ix_([5], batch)], L[np.ix_(batch, batch)])
+    assert best == batch
+    assert abs(gain - expected) <= 1e-10
 
 
 def test_top_l_refine_improves_with_wider_ell():
@@ -397,16 +458,31 @@ def test_top_l_refine_improves_with_wider_ell():
     assert np.median(lds[20]) >= np.median(lds[1])
 
 
-def test_gain_estimate_ordering():
-    a = GainEstimate(4, 2.0, "first-order")
-    b = GainEstimate(9, 1.0, "first-order")
-    c = GainEstimate((3, 5), 1.0, "batch")
-    d = GainEstimate(3, 1.0, "first-order")
-    ranked = sorted([a, b, c, d], key=GainEstimate.sort_key)
-    assert ranked[0] is a  # highest value first
-    assert ranked[1] is d  # then value ties by smallest id among singles
-    assert ranked[2] is b
-    assert ranked[3] is c  # batches after singles on ties
+def test_top_l_refine_tie_rules():
+    # on the identity every item and every batch gains exactly 0
+    diag = np.ones(12)
+    state = RowState(np.diag(diag), 12)
+    items = np.array([9, 4, 3])
+    batches = np.array([[6, 7], [5, 8]])
+    # the smallest item, and the lexicographically smallest batch
+    assert top_l_refine(state, 3, items, np.zeros(3)) == (0.0, 3)
+    assert top_l_refine(state, 2, items[:0], np.zeros(0), batches, np.zeros(2))[1] == (5, 8)
+    # on equal exact gains a single beats a batch, whatever the estimates
+    assert top_l_refine(state, 5, items, np.zeros(3), batches, np.full(2, 9.0))[1] == 3
+    # the cut is a stable sort of the singles, then the batches: at ell = 2 it
+    # keeps items 4 and 9, so item 3 is never scored
+    estimates, batch_estimates = np.array([1.0, 2.0, 1.0]), np.array([1.0, 0.5])
+    evals = state.exact_evals
+    assert top_l_refine(state, 2, items, estimates, batches, batch_estimates)[1] == 4
+    assert state.exact_evals - evals == 2
+    # a higher exact gain beats every tie rule, but only once the cut keeps
+    # it: batch (6, 7) ties items 9 and 3 on its estimate and comes after them
+    diag[7] = 3.0
+    state = RowState(np.diag(diag), 12)
+    assert top_l_refine(state, 3, items, estimates, batches, batch_estimates)[1] == 3
+    gain, best = top_l_refine(state, 4, items, estimates, batches, batch_estimates)
+    assert best == (6, 7)
+    assert abs(gain - np.log(3.0)) <= 1e-15
 
 
 def test_batch_greedy_with_unit_batches_reduces_to_partitioned():
