@@ -1,9 +1,9 @@
 """Small end-to-end benchmark: compare solvers, then sweep a knob.
 
 Every row reports selected-set size, objective value, ratio against the lazy
-baseline on the same kernel, wall time, and the work counters (conjugate
-gradient iterations, exact gain evaluations).  The sweep at the end shows
-the quality/speed trade as the number of partition groups grows.
+baseline on the same kernel, wall time, and the exact gain evaluations.  The
+sweep at the end shows the quality/speed trade as the number of partition
+groups grows.
 """
 
 from dppmap.bench import ExperimentConfig, parameter_sweep, run_comparison
@@ -11,14 +11,13 @@ from dppmap.bench import ExperimentConfig, parameter_sweep, run_comparison
 
 def show(rows):
     print(f"{'algo':<6} {'d':>5} {'seed':>4} {'size':>5} {'logdet':>10} "
-          f"{'ratio':>7} {'ms':>8} {'speedup':>8} {'cg':>6} {'exact':>6}")
+          f"{'ratio':>7} {'ms':>8} {'speedup':>8} {'exact':>6}")
     for r in rows:
         if r.error:
             print(f"{r.algo:<6} {r.d:>5} {r.seed:>4}  failed: {r.error}")
             continue
         print(f"{r.algo:<6} {r.d:>5} {r.seed:>4} {r.set_size:>5} {r.logdet:>10.3f} "
-              f"{r.ratio:>7.4f} {r.ms:>8.1f} {r.speedup:>8.2f} "
-              f"{r.cg_iters:>6} {r.exact_evals:>6}")
+              f"{r.ratio:>7.4f} {r.ms:>8.1f} {r.speedup:>8.2f} {r.exact_evals:>6}")
 
 
 def main():

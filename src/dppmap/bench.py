@@ -7,8 +7,7 @@ probe vectors between two log-determinant estimates against the analytic
 bound.  ``parameter_sweep`` varies one solver parameter with paired seeds.
 
 Timings cover the solver call only; kernel generation is outside the clock.
-alg2's spectral bounds are computed inside its own call.  The lazy baseline
-is warmed up on each kernel before it is timed.
+The lazy baseline is warmed up on each kernel before it is timed.
 """
 
 import csv
@@ -74,11 +73,7 @@ class ExperimentConfig:
     p: int = 5
     k: int = 10
     s: int = 50
-    m: int = 20
-    n: int = 15
     ell: int = 20
-    tol: float = 1e-10
-    max_iter: int = 30
     quality_slope: float = 0.01
     quality_offset: float = 0.2
     monotone_shift: float = 0.0
@@ -148,11 +143,8 @@ def solve_with(algo, L, config, seed=0):
         return partitioned_greedy(L, budget=config.budget, p=config.p,
                                   ell=config.ell, seed=seed)
     if algo == "alg2":
-        return batch_greedy(
-            L, budget=config.budget, p=config.p, k=config.k, s=config.s,
-            m=config.m, n=config.n, ell=config.ell, tol=config.tol,
-            max_iter=config.max_iter, seed=seed,
-        )
+        return batch_greedy(L, budget=config.budget, p=config.p, k=config.k,
+                            s=config.s, ell=config.ell, seed=seed)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 
@@ -160,8 +152,7 @@ def _param_string(algo, config):
     if algo == "alg1":
         parts = [f"p={config.p}", f"ell={config.ell}"]
     elif algo == "alg2":
-        parts = [f"p={config.p}", f"k={config.k}", f"s={config.s}",
-                 f"m={config.m}", f"n={config.n}", f"ell={config.ell}"]
+        parts = [f"p={config.p}", f"k={config.k}", f"s={config.s}", f"ell={config.ell}"]
     else:
         parts = []
     if config.budget is not None:

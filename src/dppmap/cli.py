@@ -2,8 +2,8 @@
 
 Subcommands: gen-kernel, solve, bench, sweep, variance, verify.  Exit codes:
 0 on success, 1 for usage or file-format problems, 2 for numerical failures
-(non-positive-definite input, CG breakdown, failed verification); a failing
-``solve`` names its solver in the message.
+(non-positive-definite input, failed verification); a failing ``solve``
+names its solver in the message.
 
 ``--threads`` is applied to the BLAS thread-count environment variables
 before numpy is imported, so the heavy imports happen inside the handlers.
@@ -59,12 +59,8 @@ def _add_solver_flags(sub):
     sub.add_argument("--p", type=int, default=5, help="number of partition groups")
     sub.add_argument("--k", type=int, default=10, help="batch size")
     sub.add_argument("--s", type=int, default=50, help="batches sampled per iteration")
-    sub.add_argument("--m", type=int, default=20, help="probe vectors per estimate")
-    sub.add_argument("--n", type=int, default=15, help="polynomial degree of the log expansion")
     sub.add_argument("--ell", type=int, default=20, help="estimates re-scored exactly per pool")
     sub.add_argument("--budget", type=int, default=None, help="maximum selection size")
-    sub.add_argument("--tol", type=float, default=1e-10, help="CG residual tolerance (alg2)")
-    sub.add_argument("--max-cg-iter", type=int, default=30, help="CG iteration cap (alg2)")
 
 
 def _add_kernel_flags(sub, seed):
@@ -208,13 +204,11 @@ def _cmd_solve(args):
     validate_kernel(L)
     config = ExperimentConfig(
         dims=(L.shape[0],), seeds=(args.seed,), algorithms=(args.algo,),
-        budget=args.budget, p=args.p, k=args.k, s=args.s, m=args.m, n=args.n,
-        ell=args.ell, tol=args.tol, max_iter=args.max_cg_iter,
+        budget=args.budget, p=args.p, k=args.k, s=args.s, ell=args.ell,
     )
     _echo("solve", {"algo": args.algo, "d": L.shape[0], "seed": args.seed,
                     "budget": args.budget, "p": args.p, "k": args.k, "s": args.s,
-                    "m": args.m, "n": args.n, "ell": args.ell, "tol": args.tol,
-                    "max_cg_iter": args.max_cg_iter, **_flat(provenance)})
+                    "ell": args.ell, **_flat(provenance)})
     start = time.perf_counter()
     try:
         result = solve_with(args.algo, L, config, seed=args.seed)
@@ -230,9 +224,7 @@ def _cmd_solve(args):
             "algorithm": result.algorithm,
             "kernel": provenance,
             "params": {"seed": args.seed, "budget": args.budget, "p": args.p,
-                       "k": args.k, "s": args.s, "m": args.m, "n": args.n,
-                       "ell": args.ell, "tol": args.tol,
-                       "max_cg_iter": args.max_cg_iter},
+                       "k": args.k, "s": args.s, "ell": args.ell},
             "selected": result.selected,
             "gains": result.gains,
             "log_det": result.log_det,
@@ -270,8 +262,7 @@ def _bench_config(args, algorithms):
 
     return ExperimentConfig(
         dims=tuple(args.dim), seeds=tuple(args.seed), algorithms=algorithms,
-        budget=args.budget, p=args.p, k=args.k, s=args.s, m=args.m, n=args.n,
-        ell=args.ell, tol=args.tol, max_iter=args.max_cg_iter,
+        budget=args.budget, p=args.p, k=args.k, s=args.s, ell=args.ell,
         quality_slope=args.beta1, quality_offset=args.beta2,
         monotone_shift=args.shift, repetitions=args.repeats,
     )
@@ -284,8 +275,8 @@ def _cmd_bench(args):
     config = _bench_config(args, algorithms)
     _echo("bench", {"dims": list(config.dims), "seeds": list(config.seeds),
                     "algos": list(algorithms), "budget": config.budget,
-                    "p": config.p, "k": config.k, "s": config.s, "m": config.m,
-                    "n": config.n, "ell": config.ell, "shift": config.monotone_shift,
+                    "p": config.p, "k": config.k, "s": config.s, "ell": config.ell,
+                    "shift": config.monotone_shift,
                     "repeats": config.repetitions})
     rows = run_comparison(config, progress=_progress_printer)
     if args.out:

@@ -15,10 +15,10 @@ estimate comes in closed form from two products, with no CG, and
 the rows are kept an exact gain costs O(1) per candidate and an estimate
 O(t), so alg1 pays lazy's row update plus 2p passes over the rows and cannot
 beat lazy; the paper's saving exists only where the rows are not kept.
-``batch_greedy`` extends the expansion to k-item batches: CG gives each
-averaged kernel's inverse columns, and the Chebyshev/Hutchinson estimator,
-with probe vectors shared across partitions, supplies the averaged
-log-determinant term.  Its single-item pool is alg1's closed form, and
+``batch_greedy`` extends the expansion to k-item batches: from the rows each
+group's averaged bordered kernel has a k x k Schur complement, and one
+Cholesky of it gives both the log-determinant term and the inverse the
+linear term needs.  Its single-item pool is alg1's closed form, and
 ``top_l_refine`` scores its batches from the rows too.
 ``first_order_gains`` is the CG form of the single-item estimate, kept as
 the reference the closed form is tested against.
@@ -30,25 +30,17 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from ._rng import substream
-from .kernel import spectral_bounds
-from .linalg import (
-    BorderedKernel,
-    CholeskyFactor,
-    _SharedBaseBordered,
-    border_average,
-    bordered_inverse_columns,
-    cg_solve,  # noqa: F401  not called here; benchmark/tracing.py wraps this name
-)
-from .logdet import (
-    _recurrence_quadratic_forms,
-    _scale_and_delta,
-    chebyshev_coefficients,
-    rademacher_probes,
-)
+from .linalg import CholeskyFactor, border_average, bordered_inverse_columns
+
+# Not called here: benchmark/tracing.py wraps these names in this module's
+# namespace, so they must stay importable from it.
+from .kernel import spectral_bounds  # noqa: F401
+from .linalg import cg_solve  # noqa: F401
+from .logdet import chebyshev_coefficients, rademacher_probes  # noqa: F401
 
 __all__ = [
     "GreedyState",
@@ -157,6 +149,14 @@ class GreedyState:
         )
 
 
+def _logdet_pd(s):
+    """(log det, lower Cholesky factor) of a small matrix; (-inf, None) if not PD."""
+    c, info = dpotrf(s, lower=1)
+    if info != 0:
+        return -np.inf, None
+    return float(2.0 * np.sum(np.log(np.diag(c)))), c
+
+
 class RowState:
     """Selection state kept as incremental Cholesky rows of every item.
 
@@ -167,8 +167,8 @@ class RowState:
     ``add`` appends one O(t·d) row and ``add_batch`` k rows at once; the row
     buffer grows by doubling from 256 rows up to ``capacity``.  Both raise
     LinAlgError naming the item (or batch) and the step when the complement
-    is not positive (definite).  Conjugate-gradient columns run against the
-    selection are counted here too.
+    is not positive (definite).  The conjugate-gradient columns that
+    ``first_order_gains`` runs against the selection are counted here too.
     """
 
     def __init__(self, L, capacity):
@@ -231,8 +231,8 @@ class RowState:
         t = self.size
         R = self.rows[:t]
         rb = R[:, items]
-        c, info = dpotrf(self.L[np.ix_(items, items)] - rb.T @ rb, lower=1)
-        if info != 0:
+        g, c = _logdet_pd(self.L[np.ix_(items, items)] - rb.T @ rb)
+        if c is None:
             raise np.linalg.LinAlgError(
                 f"batch {items} at step {len(self.gains)}: Schur complement against "
                 f"{t} selected items is not positive definite")
@@ -240,7 +240,6 @@ class RowState:
         e = solve_triangular(c, self.L[items] - rb.T @ R, lower=True, check_finite=False)
         self.rows[t : t + len(items)] = e
         self.schur -= np.einsum("kd,kd->d", e, e)
-        g = float(2.0 * np.sum(np.log(np.diag(c))))
         self.selected.extend(items)
         self.gains.append(g)
         self.log_det += g
@@ -250,18 +249,60 @@ class RowState:
     def batch_gains(self, batches):
         """Joint gains log det(L[B, B] - R_B^T R_B) of the rows B of ``batches``.
 
-        -inf where that Schur complement is not positive definite.
+        -inf where that Schur complement is not positive definite, or where
+        the pivot of its Cholesky factor at item j is below sqrt(eps) L[j, j]:
+        the subtraction has then cancelled over half the digits of j's
+        complement, which is rounding noise when j depends on the rest of the
+        batch and the selection, and the joint gain would count log(noise).
         """
         batches = np.asarray(batches, dtype=np.intp)
         rb = self.rows[: self.size][:, batches]  # (t, nb, k)
         schurs = (self.L[batches[:, :, None], batches[:, None, :]]
                   - np.einsum("tbi,tbj->bij", rb, rb))
+        floors = np.sqrt(np.finfo(float).eps) * self.diag[batches]
         out = np.full(batches.shape[0], -np.inf)
         for b, s in enumerate(schurs):
-            c, info = dpotrf(s, lower=1)
-            if info == 0:
-                out[b] = 2.0 * np.sum(np.log(np.diag(c)))
+            log_det, factor = _logdet_pd(s)
+            if factor is not None and (np.diag(factor) ** 2 > floors[b]).all():
+                out[b] = log_det
         return out
+
+    def batch_first_order(self, batches, partition):
+        """The k-column form of ``first_order``: first-order batch estimates.
+
+        ``batches`` is an (s, k) array of item batches and ``partition`` groups
+        its row indices.  Returns (pool, estimates): the batches in pool order
+        (groups in order) and their estimates.  For a group let W be the
+        slot-wise mean of its R_B = R[:, B] (t x k), C the symmetrized mean of
+        its L[B, B] and S = C - W^T W, the Schur complement of the averaged
+        bordered kernel.  Batch B is priced
+
+            log det S + tr(S^-1 (L[B, B] - C)) - 2 tr(S^-1 W^T (R_B - W)),
+
+        the linearization of log det around the averaged kernel, from one
+        k x k Cholesky per group; a group whose S is not positive definite
+        is priced -inf.
+        """
+        groups = partition.groups
+        pool = batches[np.concatenate(groups)]
+        rb = self.rows[: self.size][:, pool]  # (t, s, k)
+        corners = self.L[pool[:, :, None], pool[:, None, :]]
+        est = np.full(pool.shape[0], -np.inf)
+        start = 0
+        for g in groups:
+            span = slice(start, start + g.size)
+            start += g.size
+            w = rb[:, span].mean(axis=1)
+            c = corners[span].mean(axis=0)
+            c = (c + c.T) / 2.0
+            log_det, factor = _logdet_pd(c - w.T @ w)
+            if factor is None:
+                continue
+            inv = cho_solve((factor, True), np.eye(c.shape[0]), check_finite=False)
+            v = w @ inv
+            est[span] = (log_det + np.einsum("ij,bij->b", inv, corners[span] - c)
+                         - 2.0 * (np.einsum("tj,tbj->b", v, rb[:, span]) - np.sum(v * w)))
+        return pool, est
 
     def record_cg(self, report):
         cols = report.col_iterations
@@ -567,98 +608,25 @@ def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
     return state.result("alg1", stop, epsilon_hat=eps_hat)
 
 
-def _batch_gain_estimates(state, batches, partition, probes, expansion,
-                          scale, delta, tol, max_iter):
-    """Batch-pool estimates: shared-probe averaged log-dets plus linear terms.
-
-    The estimator prices log det of each group's averaged bordered kernel with
-    one shared ProbeSet.  To put the values on the same gain scale as the
-    single-item pool it also prices a reference operator — the selected block
-    zero-padded with an identity corner, whose log det equals the selected
-    block's — with the very same probes and expansion.  Differencing against
-    the reference cancels the expansion's systematic error and most probe
-    noise (the shared-probe variance argument), so batch and single estimates
-    stay comparable even when the spectrum strains the expansion.  Returns
-    (batches, estimates) in pool order: groups in order, members sorted.
-    """
-    L = state.L
-    sel = state.selected
-    t = state.size
-    base = L[np.ix_(sel, sel)]
-    s_total, k = batches.shape
-    all_borders = L[np.ix_(sel, batches.ravel())].reshape(t, s_total, k)
-    all_corners = L[batches[:, :, None], batches[:, None, :]]
-    kernels = []
-    stacks = []
-    for grp in partition.groups:
-        idx = batches[grp]
-        borders3 = all_borders[:, grp, :]
-        corners3 = all_corners[grp]
-        bk = border_average(L, sel, idx, base=base,
-                            columns=borders3.reshape(t, idx.size), corners=corners3)
-        stacks.append((borders3, corners3))
-        kernels.append(bk)
-    zs = _grouped_inverse_columns(kernels, tol, max_iter, state)
-
-    ngroups = len(kernels)
-    m = probes.count
-    reference = BorderedKernel(base=base, border=np.zeros((t, k)), corner=np.eye(k))
-    operators = kernels + [reference]
-    tiled = np.tile(probes.vectors, (1, ngroups + 1))
-    op = _SharedBaseBordered(operators, m)
-    apply_op = lambda w: scale * op.matmat(w)
-    quad = _recurrence_quadratic_forms(apply_op, delta, expansion.coefficients, tiled)
-    ref_mean = quad[ngroups * m :].mean()
-    gammas = np.array([quad[j * m : (j + 1) * m].mean() for j in range(ngroups)]) - ref_mean
-
-    estimates = []
-    for j, (grp, bk, (borders3, corners3)) in enumerate(zip(partition.groups, kernels, stacks)):
-        if zs[j] is None or not np.isfinite(gammas[j]):
-            estimates.append(np.full(grp.size, -np.inf))
-            continue
-        z = zs[j]
-        z_top = z[:t]
-        z_bot = z[t:]
-        z_bot = (z_bot + z_bot.T) / 2.0
-        db = borders3 - bk.border[:, None, :]
-        dc = corners3 - bk.corner
-        lin = 2.0 * np.einsum("tbk,tk->b", db, z_top) if t else np.zeros(grp.size)
-        estimates.append(lin + np.einsum("bij,ij->b", dc, z_bot) + gammas[j])
-    return batches[np.concatenate(partition.groups)], np.concatenate(estimates)
-
-
-def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
-                 tol=1e-10, max_iter=30, seed=0, bounds=None,
-                 delta_target=0.01, batch_sampler=None):
+def batch_greedy(L, budget=None, p=5, k=10, s=50, ell=20, seed=0, batch_sampler=None):
     """Stochastic batch greedy with first-order pricing of sampled k-batches.
 
     Each iteration samples ``s`` candidate batches, partitions them into p
-    groups, and prices every batch against its group's averaged bordered
-    kernel: k border-column CG solves per group plus one shared-probe
-    log-determinant estimate (m probes, degree-n expansion; the probes are
-    shared across groups and with a selected-block reference operator, so
-    group-to-group and batch-vs-single comparisons cancel common noise).
-    A single-item pool (``RowState.first_order``, in closed form from the
-    kept rows) runs alongside; the top ``ell`` estimates across both pools
-    are re-scored exactly from the rows and the best accepted, so late
-    iterations fall back to single items when whole batches stop paying.
-
-    Spectral bounds of the full kernel cover every averaged bordered kernel
-    (eigenvalue interlacing survives averaging), so one ``bounds`` computation
-    fixes the estimator's rescaling for the whole run.  ``batch_sampler``
-    overrides batch sampling (testing hook).
+    groups, and prices every batch by linearizing log det around its group's
+    averaged bordered kernel (``RowState.batch_first_order``, in closed form
+    from the kept rows: one k x k Cholesky per group).  A single-item pool
+    (``RowState.first_order``) runs alongside; the top ``ell`` estimates
+    across both pools are re-scored exactly from the rows and the best
+    accepted, so late iterations fall back to single items when whole batches
+    stop paying.  The batch pool is skipped while fewer than k items are left
+    or a batch would overshoot the budget.  ``batch_sampler`` overrides batch
+    sampling (testing hook).
     """
     L = np.asarray(L, dtype=float)
-    d = L.shape[0]
-    cap = _check_budget(budget, d)
+    cap = _check_budget(budget, L.shape[0])
     state = RowState(L, cap)
     rng_part = substream(seed, "partitions")
     rng_batch = substream(seed, "batches")
-    rng_probe = substream(seed, "probes")
-    if bounds is None:
-        bounds = spectral_bounds(L)
-    scale, delta = _scale_and_delta(bounds, delta_target)
-    expansion = chebyshev_coefficients(n, delta)
     sampler = batch_sampler or sample_batches
     batch_steps = 0
     single_steps = 0
@@ -668,14 +636,11 @@ def batch_greedy(L, budget=None, p=5, k=10, s=50, m=20, n=15, ell=20,
         if rest.size == 0:
             stop = "exhausted"
             break
-        t = state.size
         pool_b = est_b = None
-        if rest.size >= k and t + k <= cap:
+        if rest.size >= k and state.size + k <= cap:
             batches = np.asarray(sampler(rest, k, s, rng_batch))
             part_b = balanced_partition(np.arange(batches.shape[0]), p, rng_part)
-            probes = rademacher_probes(t + k, m, rng_probe)
-            pool_b, est_b = _batch_gain_estimates(
-                state, batches, part_b, probes, expansion, scale, delta, tol, max_iter)
+            pool_b, est_b = state.batch_first_order(batches, part_b)
         cand, est = state.first_order(balanced_partition(rest, p, rng_part))
         gain, best = top_l_refine(state, ell, cand, est, pool_b, est_b)
         if gain < 0:

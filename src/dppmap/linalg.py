@@ -389,39 +389,24 @@ class _SharedBaseBordered:
         return out
 
 
-def border_average(L, selected, members, base=None, columns=None, corners=None):
-    """Average the bordered extensions of L[X, X] over candidate ``members``.
+def border_average(L, selected, members, base=None, columns=None):
+    """Average the single-item bordered extensions of L[X, X] over ``members``.
 
-    ``members`` is either a sequence of item indices (single-item extensions,
-    border width 1) or a sequence of equal-length index batches (width k,
-    corners include the within-batch cross terms).  Pass ``base`` to reuse an
-    already-gathered L[X, X] block, ``columns`` to reuse the gathered border
-    block L[X, flattened members], and ``corners`` (batch form only) to reuse
-    the gathered (nb, k, k) corner stack.
+    Returns the border-width-1 kernel whose border is the mean of the columns
+    L[X, i] and whose corner is the mean of L[i, i] over the items i in
+    ``members``.  Pass ``base`` to reuse an already-gathered L[X, X] block and
+    ``columns`` to reuse the gathered border block L[X, members].
     """
-    selected = np.asarray(selected, dtype=np.intp)
-    t = selected.size
     if len(members) == 0:
         raise ValueError("members must be nonempty")
-    first = members[0]
+    selected = np.asarray(selected, dtype=np.intp)
+    cols = np.asarray(members, dtype=np.intp)
     if base is None:
         base = L[np.ix_(selected, selected)]
-    if np.ndim(first) == 0:
-        cols = np.asarray(members, dtype=np.intp)
-        if columns is None:
-            columns = L[np.ix_(selected, cols)]
-        border = columns.mean(axis=1, keepdims=True)
-        corner = np.array([[L[cols, cols].mean()]])
-    else:
-        idx = np.asarray(members, dtype=np.intp)
-        nb, k = idx.shape
-        if columns is None:
-            columns = L[np.ix_(selected, idx.ravel())]
-        border = columns.reshape(t, nb, k).mean(axis=1)
-        if corners is None:
-            corners = L[idx[:, :, None], idx[:, None, :]]
-        corner = corners.mean(axis=0)
-        corner = (corner + corner.T) / 2.0
+    if columns is None:
+        columns = L[np.ix_(selected, cols)]
+    border = columns.mean(axis=1, keepdims=True)
+    corner = np.array([[L[cols, cols].mean()]])
     return BorderedKernel(base=base, border=border, corner=corner, count=len(members))
 
 

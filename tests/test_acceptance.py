@@ -14,9 +14,12 @@ import pytest
 from dppmap._rng import substream
 from dppmap.bench import ExperimentConfig, parameter_sweep, run_comparison, variance_study
 from dppmap.greedy import (
+    RowState,
+    balanced_partition,
     batch_greedy,
     brute_force_map,
     exact_greedy,
+    first_order_gains,
     lazy_greedy,
     partitioned_greedy,
 )
@@ -94,10 +97,9 @@ def test_04_batch_solver_quality_and_speed_at_d2000():
     ratios, batch_walls, lazy_walls = [], [], []
     for seed in range(5):
         L = _kernel(2000, seed, shift=0.0)
-        bounds = spectral_bounds(L)  # shared input, computed off the clock
         lazy, lazy_s = _timed(lazy_greedy, L)
         _record(2000, seed, 0.0, lazy)
-        batch, batch_s = _timed(batch_greedy, L, seed=seed, bounds=bounds)
+        batch, batch_s = _timed(batch_greedy, L, seed=seed)
         _record(2000, seed, 0.0, batch)
         ratios.append(batch.log_det / lazy.log_det)
         batch_walls.append(batch_s)
@@ -203,15 +205,20 @@ def test_09_chebyshev_coefficient_weighted_sum_bound():
 
 
 def test_10_cg_converges_within_iteration_cap():
+    # no solver runs CG; its one caller left is first_order_gains, the CG
+    # reference of alg1's estimate, run here at every prefix of alg1's picks
     solves = 0
     converged = 0
     for seed in range(3):
         L = _kernel(400, seed, shift=1.01)
-        bounds = spectral_bounds(L)
-        for result in (partitioned_greedy(L, seed=seed),
-                       batch_greedy(L, seed=seed, bounds=bounds)):
-            solves += result.cg_solves
-            converged += result.cg_converged
+        state = RowState(L, L.shape[0])
+        rng = substream(seed, "partitions")
+        for i in partitioned_greedy(L, seed=seed).selected:
+            part = balanced_partition(np.flatnonzero(state.remaining), 5, rng)
+            first_order_gains(state, part, tol=1e-10, max_iter=30)
+            state.add(i)
+        solves += state.cg_solves
+        converged += state.cg_converged
     print(f"converged CG solves: {converged}/{solves} "
           f"({converged / solves:.4f}, required >= 0.95)")
     assert converged / solves >= 0.95
@@ -251,7 +258,7 @@ def test_12_quality_trends_with_partition_and_batch_size():
     rows = parameter_sweep(config, "k", (1, 20))
     k_ratio = {value: float(np.median(
         [row.ratio for row in rows
-         if row.params == f"p=5;k={value};s=50;m=20;n=15;ell=20"]))
+         if row.params == f"p=5;k={value};s=50;ell=20"]))
         for value in (1, 20)}
     print(f"median ratio at k=1: {k_ratio[1]:.4f}, at k=20: {k_ratio[20]:.4f} "
           f"(bigger batches may trade quality for speed)")

@@ -159,6 +159,12 @@ def test_unknown_flag_exits_one():
     proc = run_cli("solve", "--dim", "10", "--frobnicate")
     assert proc.returncode == 1
     assert "error" in proc.stderr
+    # the CG and Chebyshev knobs of the solvers are gone
+    for command in (["solve", "--dim", "10"], ["bench"], ["sweep", "k", "1"]):
+        for flag in ("--m", "--n", "--tol", "--max-cg-iter"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + [flag, "1"])
+            assert exc.value.code == 1
 
 
 def test_bench_subcommand_writes_outputs(tmp_path):

@@ -247,30 +247,17 @@ def test_border_average_is_entrywise_mean():
     assert abs(bk.corner[0, 0] - manual_corner) <= 1e-15
 
 
-def test_border_average_over_batches():
-    L = random_spd(14, substream(15, "spd"))
-    sel = [0, 1]
-    batches = [(3, 5, 7), (4, 6, 8), (9, 10, 11)]
-    bk = border_average(L, sel, batches)
-    manual_border = np.mean([L[np.ix_(sel, b)] for b in batches], axis=0)
-    manual_corner = np.mean([L[np.ix_(b, b)] for b in batches], axis=0)
-    manual_corner = (manual_corner + manual_corner.T) / 2.0
-    assert np.abs(bk.border - manual_border).max() <= 1e-15
-    assert np.abs(bk.corner - manual_corner).max() <= 1e-15
-    assert bk.count == 3
-
-
 def test_border_average_reuses_gathered_blocks():
     L = random_spd(10, substream(16, "spd"))
     sel = np.array([1, 4])
-    idx = np.array([[2, 3], [5, 6]])
-    plain = border_average(L, sel, idx)
+    members = np.array([2, 3, 5, 6])
+    plain = border_average(L, sel, members)
     reused = border_average(
-        L, sel, idx,
+        L, sel, members,
         base=L[np.ix_(sel, sel)],
-        columns=L[np.ix_(sel, idx.ravel())],
-        corners=L[idx[:, :, None], idx[:, None, :]],
+        columns=L[np.ix_(sel, members)],
     )
+    assert np.array_equal(plain.base, reused.base)
     assert np.array_equal(plain.border, reused.border)
     assert np.array_equal(plain.corner, reused.corner)
 
