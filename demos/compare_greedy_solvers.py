@@ -5,9 +5,11 @@ principal submatrix.  The exact and lazy solvers both use exact Schur
 complements: exact greedy solves for every candidate at every step, while
 lazy greedy keeps every item's row of the incremental Cholesky factor and
 updates all complements with one product per accepted item.
-The first-order solver prices whole partition groups around an averaged
-bordered system, and the batch solver adds stochastic blocks whose gain is
-estimated with a polynomial trace estimator.
+The first-order solver prices every candidate by linearizing log det around
+its partition group's averaged bordered kernel, in closed form from the same
+rows, and re-scores the best few exactly.  The batch solver runs the same
+loop with a pool of sampled k-item blocks added, each priced from one k x k
+Cholesky of its group's averaged Schur complement.
 """
 
 import time

@@ -52,7 +52,7 @@ ALGORITHMS = ("exact", "lazy", "alg1", "alg2", "brute")
 
 CSV_COLUMNS = (
     "algo", "seed", "d", "params", "set_size", "logdet",
-    "ratio", "ms", "speedup", "cg_iters", "exact_evals",
+    "ratio", "ms", "speedup", "exact_evals",
 )
 
 _BASELINE_WARMUP_S = 0.25
@@ -114,7 +114,6 @@ class RunReport:
     ratio: float = float("nan")
     ms: float = float("nan")
     speedup: float = float("nan")
-    cg_iters: int = 0
     exact_evals: int = 0
     error: str = ""
     selected: list = field(default_factory=list)
@@ -193,7 +192,7 @@ def _report(algo, seed, d, params, res, ms, base=None, base_ms=None):
     return RunReport(
         algo=algo, seed=seed, d=d, params=params, set_size=res.size,
         logdet=res.log_det, ratio=ratio, ms=ms, speedup=speedup,
-        cg_iters=res.cg_iters, exact_evals=res.exact_evals, selected=res.selected,
+        exact_evals=res.exact_evals, selected=res.selected,
     )
 
 
@@ -319,7 +318,7 @@ def write_rows_csv(rows, path):
             writer.writerow([
                 row.algo, row.seed, row.d, row.params, row.set_size,
                 f"{row.logdet:.6f}", f"{row.ratio:.6f}", f"{row.ms:.3f}",
-                f"{row.speedup:.3f}", row.cg_iters, row.exact_evals,
+                f"{row.speedup:.3f}", row.exact_evals,
             ])
 
 

@@ -217,7 +217,7 @@ def _cmd_solve(args):
     ms = (time.perf_counter() - start) * 1000.0
     print(f"selected {result.size} items, log det {result.log_det:.6f}, "
           f"stop={result.stop_reason}, {ms:.1f} ms, "
-          f"exact_evals={result.exact_evals}, cg_iters={result.cg_iters}")
+          f"exact_evals={result.exact_evals}")
     if args.json:
         payload = {
             "command": "solve",
@@ -230,9 +230,6 @@ def _cmd_solve(args):
             "log_det": result.log_det,
             "stop_reason": result.stop_reason,
             "exact_evals": result.exact_evals,
-            "cg_iters": result.cg_iters,
-            "cg_solves": result.cg_solves,
-            "cg_converged": result.cg_converged,
             "ms": ms,
         }
         with open(args.json, "w") as fh:

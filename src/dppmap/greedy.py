@@ -8,23 +8,23 @@ incremental factor rows of all items, one O(t·d) update per accepted item
 (one (k x t)(t x d) product per accepted k-batch), each item's exact gain
 the log of the Schur complement those rows already hold.  ``lazy_greedy``
 takes the argmax of those gains and selects the same sequence as
-``exact_greedy``.  ``partitioned_greedy`` prices candidates by a first-order
-expansion around a partition-averaged bordered kernel; from the rows that
-estimate comes in closed form from two products, with no CG, and
-``top_l_refine`` re-scores the top ``ell`` from the kept complements.  Once
+``exact_greedy``.
+
+``partitioned_greedy`` (alg1) and ``batch_greedy`` (alg2) run one
+first-order loop.  Each step it prices every candidate by a first-order
+expansion around a partition-averaged bordered kernel, in closed form from
+the rows (``RowState.first_order``), re-scores the top ``ell`` exactly
+(``top_l_refine``) and accepts the best.  alg2 adds a pool of sampled
+k-batches, priced the same way from one k x k Cholesky per group
+(``RowState.batch_first_order``) and re-scored by their joint gains.  Once
 the rows are kept an exact gain costs O(1) per candidate and an estimate
 O(t), so alg1 pays lazy's row update plus 2p passes over the rows and cannot
 beat lazy; the paper's saving exists only where the rows are not kept.
-``batch_greedy`` extends the expansion to k-item batches: from the rows each
-group's averaged bordered kernel has a k x k Schur complement, and one
-Cholesky of it gives both the log-determinant term and the inverse the
-linear term needs.  Its single-item pool is alg1's closed form, and
-``top_l_refine`` scores its batches from the rows too.
-``first_order_gains`` is the CG form of the single-item estimate, kept as
-the reference the closed form is tested against.
+``first_order_gains`` is the CG form of the single-item estimate, one
+conjugate-gradient run per group, kept as the reference the closed form is
+tested against.
 Ties everywhere break toward the smallest item index (smallest batch).
 """
-
 import itertools
 from dataclasses import dataclass, field
 from math import comb
@@ -91,7 +91,7 @@ class SelectionResult:
     gains: list
     log_det: float
     exact_evals: int = 0
-    cg_iters: int = 0
+    # No solver runs CG; these go with ROADMAP item 3's benchmark change.
     cg_solves: int = 0
     cg_converged: int = 0
     stop_reason: str = ""
@@ -167,8 +167,7 @@ class RowState:
     ``add`` appends one O(t·d) row and ``add_batch`` k rows at once; the row
     buffer grows by doubling from 256 rows up to ``capacity``.  Both raise
     LinAlgError naming the item (or batch) and the step when the complement
-    is not positive (definite).  The conjugate-gradient columns that
-    ``first_order_gains`` runs against the selection are counted here too.
+    is not positive (definite).
     """
 
     def __init__(self, L, capacity):
@@ -183,9 +182,6 @@ class RowState:
         self.gains = []
         self.log_det = 0.0
         self.exact_evals = 0
-        self.cg_iters = 0
-        self.cg_solves = 0
-        self.cg_converged = 0
 
     @property
     def size(self):
@@ -304,12 +300,6 @@ class RowState:
                          - 2.0 * (np.einsum("tj,tbj->b", v, rb[:, span]) - np.sum(v * w)))
         return pool, est
 
-    def record_cg(self, report):
-        cols = report.col_iterations
-        self.cg_solves += int(cols.size)
-        self.cg_iters += int(cols.sum())
-        self.cg_converged += int(report.col_converged.sum())
-
     def exact_gains(self, items):
         """Exact log gains of ``items``; -inf where the complement is not positive."""
         s = self.schur[items]
@@ -357,9 +347,6 @@ class RowState:
             gains=list(self.gains),
             log_det=self.log_det,
             exact_evals=self.exact_evals,
-            cg_iters=self.cg_iters,
-            cg_solves=self.cg_solves,
-            cg_converged=self.cg_converged,
             stop_reason=stop_reason,
             metrics=metrics,
         )
@@ -475,26 +462,6 @@ def sample_batches(remaining, k, s, rng):
     return np.sort(ids[pos], axis=1)
 
 
-def _grouped_inverse_columns(kernels, tol, max_iter, state):
-    """Lockstep border-column solves; a group that breaks down yields None."""
-    try:
-        z, rep = bordered_inverse_columns(
-            kernels if len(kernels) > 1 else kernels[0], tol=tol, max_iter=max_iter
-        )
-        state.record_cg(rep)
-        return z if len(kernels) > 1 else [z]
-    except np.linalg.LinAlgError:
-        out = []
-        for bk in kernels:
-            try:
-                z, rep = bordered_inverse_columns(bk, tol=tol, max_iter=max_iter)
-                state.record_cg(rep)
-                out.append(z)
-            except np.linalg.LinAlgError:
-                out.append(None)
-        return out
-
-
 def first_order_gains(state, partition, tol=1e-10, max_iter=30):
     """CG form of ``RowState.first_order``, kept as its reference.
 
@@ -502,40 +469,33 @@ def first_order_gains(state, partition, tol=1e-10, max_iter=30):
     member i is the inner product of its deviation from the average with the
     average's last inverse column, plus the exact Schur log-gain of the
     average itself, log(c - W·W) with W the mean of the group's rows and c
-    the mean of its diagonal.  A group whose averaged Schur complement is
-    nonpositive is priced -inf for every member.  Each remaining group costs
-    one CG run, for its inverse column, counted on ``state``.  Returns
-    (candidates, estimates) in ``RowState.first_order``'s order.
+    the mean of its diagonal.  Each group with a positive averaged Schur
+    complement costs one ``bordered_inverse_columns`` run; every member of a
+    group whose complement is nonpositive, or whose CG run breaks down, is
+    priced -inf.  Returns (candidates, estimates, reports): candidates in
+    ``RowState.first_order``'s order and one ``CgReport`` per CG run.
     """
     L = state.L
     sel = state.selected
-    t = state.size
-    base = L[np.ix_(sel, sel)]
-    R = state.rows[:t]
-    groups = partition.groups
-    blocks = [L[np.ix_(sel, g)] for g in groups]
-    kernels = [border_average(L, sel, g, base=base, columns=blk)
-               for g, blk in zip(groups, blocks)]
-    w = np.stack([R[:, g].mean(axis=1) for g in groups], axis=1)
-    s = np.array([bk.corner[0, 0] for bk in kernels]) - np.einsum("tg,tg->g", w, w)
-    gammas = np.full(s.shape, -np.inf)
-    live = np.flatnonzero(s > 0)
-    gammas[live] = np.log(s[live])
-    zs = [None] * len(kernels)
-    if live.size:
-        solved = _grouped_inverse_columns([kernels[j] for j in live], tol, max_iter, state)
-        for j, z in zip(live, solved):
-            zs[j] = z
-
+    R = state.rows[: state.size]
     est = []
-    for j, (g, blk, bk) in enumerate(zip(groups, blocks, kernels)):
-        if zs[j] is None:
-            est.append(np.full(g.size, -np.inf))
+    reports = []
+    for g in partition.groups:
+        est.append(np.full(g.size, -np.inf))
+        bk = border_average(L, sel, g)
+        w = R[:, g].mean(axis=1)
+        s = bk.corner[0, 0] - w @ w
+        if not s > 0:
             continue
-        db = blk - bk.border
-        dc = state.diag[g] - bk.corner[0, 0]
-        est.append(2.0 * (zs[j][:t, 0] @ db) + zs[j][t, 0] * dc + gammas[j])
-    return np.concatenate(groups), np.concatenate(est)
+        try:
+            z, rep = bordered_inverse_columns(bk, tol=tol, max_iter=max_iter)
+        except np.linalg.LinAlgError:
+            continue
+        reports.append(rep)
+        z = z[:, 0]
+        db = L[np.ix_(sel, g)] - bk.border
+        est[-1] = 2.0 * (z[:-1] @ db) + z[-1] * (state.diag[g] - bk.corner[0, 0]) + np.log(s)
+    return np.concatenate(partition.groups), np.concatenate(est), reports
 
 
 def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=None):
@@ -547,12 +507,18 @@ def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=Non
     singles go first on equal estimates.  Items are scored from the kept
     complements, batches by ``RowState.batch_gains``.  The winner has the
     highest exact gain; on ties a single beats a batch, then the smallest
-    item wins, then the lexicographically smallest batch.  It is an item id,
-    or a batch as a tuple of item ids.
+    item wins, then the lexicographically smallest batch.  When every gain
+    in the cut is -inf the winner is the item of ``items`` with the highest
+    exact gain, so a cut of dependent candidates does not end the run while
+    other items still gain.  The winner is an item id, or a batch as a tuple
+    of item ids.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    n = len(items)
+    items = np.asarray(items, dtype=np.intp)
+    n = items.size
+    if n == 0 and batches is None:
+        raise ValueError("nothing to refine: no items and no batches")
     values = estimates if batches is None else np.concatenate([estimates, batch_estimates])
     top = np.argsort(-values, kind="stable")[:ell]
     state.exact_evals += int(top.size)
@@ -562,10 +528,73 @@ def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=Non
     if batches is not None and (top >= n).any():
         chosen = batches[top[top >= n] - n]
         batch_gains = state.batch_gains(chosen)
-        if batch_gains.max() > best or not singles.size:
+        if batch_gains.max() > best or n == 0:
             best = batch_gains.max()
             return float(best), min(map(tuple, chosen[batch_gains == best].tolist()))
+    if best == -np.inf:
+        state.exact_evals += n
+        singles = items
+        gains = state.exact_gains(items)
+        best = gains.max()
     return float(best), int(singles[gains == best].min())
+
+
+def _first_order_greedy(algorithm, L, budget, p, ell, seed, k=None, s=None):
+    """The selection loop of alg1 and, with a k-batch pool, alg2.
+
+    Each iteration partitions the remaining items into p random balanced
+    groups and prices them by ``RowState.first_order``.  With ``k`` set it
+    first samples ``s`` k-batches, partitions them into p groups and prices
+    them by ``RowState.batch_first_order``; that pool is skipped while fewer
+    than k items are left or a batch would overshoot the budget.
+    ``top_l_refine`` re-scores the top ``ell`` estimates over both pools and
+    the best is accepted.  Stops when the accepted gain is negative, at the
+    budget, or when items run out.
+
+    Every item's exact gain is held anyway, so ``metrics["epsilon_hat"]``
+    reports the worst single-item estimate error seen over the run, beside
+    the counts of accepted batches and single items.  ``sample_batches``,
+    ``balanced_partition`` and ``top_l_refine`` are looked up in this module
+    at call time, where benchmark/tracing.py swaps in timed wrappers.
+    """
+    if ell < 1:
+        raise ValueError(f"ell must be positive, got {ell}")
+    L = np.asarray(L, dtype=float)
+    cap = _check_budget(budget, L.shape[0])
+    state = RowState(L, cap)
+    rng_part = substream(seed, "partitions")
+    rng_batch = substream(seed, "batches")
+    eps_hat = 0.0
+    batch_steps = 0
+    single_steps = 0
+    stop = "budget" if budget is not None else "exhausted"
+    while state.size < cap:
+        rest = np.flatnonzero(state.remaining)
+        if rest.size == 0:
+            stop = "exhausted"
+            break
+        pool_b = est_b = None
+        if k is not None and rest.size >= k and state.size + k <= cap:
+            batches = sample_batches(rest, k, s, rng_batch)
+            part_b = balanced_partition(np.arange(batches.shape[0]), p, rng_part)
+            pool_b, est_b = state.batch_first_order(batches, part_b)
+        cand, est = state.first_order(balanced_partition(rest, p, rng_part))
+        exact = state.exact_gains(cand)
+        seen = np.isfinite(est) & np.isfinite(exact)
+        if seen.any():
+            eps_hat = max(eps_hat, float(np.abs(est[seen] - exact[seen]).max()))
+        gain, best = top_l_refine(state, ell, cand, est, pool_b, est_b)
+        if gain < 0:
+            stop = "negative-gain"
+            break
+        if isinstance(best, tuple):
+            state.add_batch(best)
+            batch_steps += 1
+        else:
+            state.add(best)
+            single_steps += 1
+    return state.result(algorithm, stop, epsilon_hat=eps_hat,
+                        batch_steps=batch_steps, single_steps=single_steps)
 
 
 def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
@@ -577,79 +606,23 @@ def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
     factor rows), exactly re-scores the top ``ell`` estimates, and accepts the
     best; ties go to the smallest item index.  Stops when the accepted
     candidate's exact gain turns negative, at the budget, or when candidates
-    run out.
-
-    Every candidate's exact gain is held anyway, so ``metrics["epsilon_hat"]``
-    reports the worst estimate error seen over the run.
+    run out.  ``metrics`` holds ``epsilon_hat``, the worst estimate error
+    seen, and ``batch_steps`` (always 0) and ``single_steps``.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
-    L = np.asarray(L, dtype=float)
-    cap = _check_budget(budget, L.shape[0])
-    state = RowState(L, cap)
-    rng_part = substream(seed, "partitions")
-    eps_hat = 0.0
-    stop = "budget" if budget is not None else "exhausted"
-    while state.size < cap:
-        rest = np.flatnonzero(state.remaining)
-        if rest.size == 0:
-            stop = "exhausted"
-            break
-        cand, est = state.first_order(balanced_partition(rest, p, rng_part))
-        exact = state.exact_gains(cand)
-        seen = np.isfinite(est) & np.isfinite(exact)
-        if seen.any():
-            eps_hat = max(eps_hat, float(np.abs(est[seen] - exact[seen]).max()))
-        gain, i = top_l_refine(state, ell, cand, est)
-        if gain < 0:
-            stop = "negative-gain"
-            break
-        state.add(i)
-    return state.result("alg1", stop, epsilon_hat=eps_hat)
+    return _first_order_greedy("alg1", L, budget, p, ell, seed)
 
 
-def batch_greedy(L, budget=None, p=5, k=10, s=50, ell=20, seed=0, batch_sampler=None):
+def batch_greedy(L, budget=None, p=5, k=10, s=50, ell=20, seed=0):
     """Stochastic batch greedy with first-order pricing of sampled k-batches.
 
-    Each iteration samples ``s`` candidate batches, partitions them into p
-    groups, and prices every batch by linearizing log det around its group's
-    averaged bordered kernel (``RowState.batch_first_order``, in closed form
-    from the kept rows: one k x k Cholesky per group).  A single-item pool
-    (``RowState.first_order``) runs alongside; the top ``ell`` estimates
-    across both pools are re-scored exactly from the rows and the best
-    accepted, so late iterations fall back to single items when whole batches
-    stop paying.  The batch pool is skipped while fewer than k items are left
-    or a batch would overshoot the budget.  ``batch_sampler`` overrides batch
-    sampling (testing hook).
+    ``partitioned_greedy`` plus a pool of ``s`` sampled k-batches each
+    iteration, partitioned into p groups and priced by linearizing log det
+    around each group's averaged bordered kernel (``RowState.
+    batch_first_order``, in closed form from the kept rows: one k x k
+    Cholesky per group).  The top ``ell`` estimates across both pools are
+    re-scored exactly from the rows and the best accepted, so late
+    iterations fall back to single items when whole batches stop paying.
+    The batch pool is skipped while fewer than k items are left or a batch
+    would overshoot the budget.  ``metrics`` is ``partitioned_greedy``'s.
     """
-    L = np.asarray(L, dtype=float)
-    cap = _check_budget(budget, L.shape[0])
-    state = RowState(L, cap)
-    rng_part = substream(seed, "partitions")
-    rng_batch = substream(seed, "batches")
-    sampler = batch_sampler or sample_batches
-    batch_steps = 0
-    single_steps = 0
-    stop = "budget" if budget is not None else "exhausted"
-    while state.size < cap:
-        rest = np.flatnonzero(state.remaining)
-        if rest.size == 0:
-            stop = "exhausted"
-            break
-        pool_b = est_b = None
-        if rest.size >= k and state.size + k <= cap:
-            batches = np.asarray(sampler(rest, k, s, rng_batch))
-            part_b = balanced_partition(np.arange(batches.shape[0]), p, rng_part)
-            pool_b, est_b = state.batch_first_order(batches, part_b)
-        cand, est = state.first_order(balanced_partition(rest, p, rng_part))
-        gain, best = top_l_refine(state, ell, cand, est, pool_b, est_b)
-        if gain < 0:
-            stop = "negative-gain"
-            break
-        if isinstance(best, tuple):
-            state.add_batch(best)
-            batch_steps += 1
-        else:
-            state.add(best)
-            single_steps += 1
-    return state.result("alg2", stop, batch_steps=batch_steps, single_steps=single_steps)
+    return _first_order_greedy("alg2", L, budget, p, ell, seed, k=k, s=s)

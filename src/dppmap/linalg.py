@@ -2,8 +2,8 @@
 
 Provides an incrementally growing Cholesky factor (one row per accepted item),
 a conjugate-gradient solver that runs many right-hand sides in lockstep, the
-bordered operators used by the averaged first-order gain estimates, and the
-Schur-complement marginal gain through a Cholesky factor.
+bordered operator of the CG reference for the averaged first-order gain
+estimates, and the Schur-complement marginal gain through a Cholesky factor.
 """
 
 from dataclasses import dataclass, field
@@ -309,13 +309,12 @@ class BorderedKernel:
 
     Represents [[base, border], [border^T, corner]] without assembling it;
     ``matmat`` applies the blocks directly so CG never touches a (t+k)^2
-    matrix.  ``count`` records how many candidate extensions were averaged.
+    matrix.
     """
 
     base: np.ndarray
     border: np.ndarray
     corner: np.ndarray
-    count: int = 1
 
     @property
     def base_dim(self):
@@ -352,84 +351,30 @@ class BorderedKernel:
         return full
 
 
-class _SharedBaseBordered:
-    """Several bordered kernels over one base block, applied in lockstep.
-
-    Column group g of the input block belongs to kernel g; the base product
-    is computed once for all groups, which is where the shared work lives.
-    The per-group border and corner products run as batched matmuls.
-    """
-
-    def __init__(self, kernels, width):
-        self.kernels = kernels
-        self.width = width
-        self.t = kernels[0].base_dim
-        self.k = kernels[0].border_width
-        self.dim = self.t + self.k
-        self.borders = np.stack([bk.border for bk in kernels])  # (g, t, k)
-        self.corners = np.stack([bk.corner for bk in kernels])  # (g, k, k)
-
-    def matmat(self, w):
-        t, k, width = self.t, self.k, self.width
-        g = len(self.kernels)
-        out = np.empty_like(w)
-        # bottom rows regrouped as (g, k, width) so group products batch
-        wb = np.ascontiguousarray(
-            w[t:].reshape(k, g, width).transpose(1, 0, 2))
-        if t == 0:
-            bottom = self.corners @ wb
-        else:
-            np.matmul(self.kernels[0].base, w[:t], out=out[:t])
-            cross = self.borders @ wb  # (g, t, width)
-            out[:t] += cross.transpose(1, 0, 2).reshape(t, g * width)
-            wt = np.ascontiguousarray(
-                w[:t].reshape(t, g, width).transpose(1, 0, 2))
-            bottom = self.borders.transpose(0, 2, 1) @ wt + self.corners @ wb
-        out[t:] = bottom.transpose(1, 0, 2).reshape(k, g * width)
-        return out
-
-
-def border_average(L, selected, members, base=None, columns=None):
+def border_average(L, selected, members):
     """Average the single-item bordered extensions of L[X, X] over ``members``.
 
     Returns the border-width-1 kernel whose border is the mean of the columns
     L[X, i] and whose corner is the mean of L[i, i] over the items i in
-    ``members``.  Pass ``base`` to reuse an already-gathered L[X, X] block and
-    ``columns`` to reuse the gathered border block L[X, members].
+    ``members``.
     """
     if len(members) == 0:
         raise ValueError("members must be nonempty")
     selected = np.asarray(selected, dtype=np.intp)
     cols = np.asarray(members, dtype=np.intp)
-    if base is None:
-        base = L[np.ix_(selected, selected)]
-    if columns is None:
-        columns = L[np.ix_(selected, cols)]
-    border = columns.mean(axis=1, keepdims=True)
+    border = L[np.ix_(selected, cols)].mean(axis=1, keepdims=True)
     corner = np.array([[L[cols, cols].mean()]])
-    return BorderedKernel(base=base, border=border, corner=corner, count=len(members))
+    return BorderedKernel(base=L[np.ix_(selected, selected)], border=border, corner=corner)
 
 
 def bordered_inverse_columns(bordered, tol=1e-10, max_iter=30):
-    """Last-k columns of the inverse of one or more bordered kernels.
+    """Last-k columns of the inverse of a bordered kernel.
 
-    Solves (assembled kernel) Z = E with E selecting the border coordinates,
-    one CG run per column.  A list of kernels sharing the same base block is
-    solved in one lockstep call; the result is then a list of Z blocks.
-    Returns (Z, CgReport).
+    Solves (assembled kernel) Z = E with E selecting the k border
+    coordinates, one lockstep CG column each.  Returns (Z, CgReport).
     """
-    multi = isinstance(bordered, (list, tuple))
-    kernels = list(bordered) if multi else [bordered]
-    t = kernels[0].base_dim
-    k = kernels[0].border_width
-    ngroups = len(kernels)
-    rhs = np.zeros((t + k, ngroups * k))
-    for g in range(ngroups):
-        rhs[t:, g * k : (g + 1) * k] = np.eye(k)
-    op = _SharedBaseBordered(kernels, k) if ngroups > 1 else kernels[0]
-    rep = cg_solve(op, rhs, tol=tol, max_iter=max_iter)
-    if not multi:
-        return rep.solution, rep
-    blocks = [rep.solution[:, g * k : (g + 1) * k] for g in range(ngroups)]
-    return blocks, rep
-
+    t = bordered.base_dim
+    rhs = np.zeros((bordered.dim, bordered.border_width))
+    rhs[t:] = np.eye(bordered.border_width)
+    rep = cg_solve(bordered, rhs, tol=tol, max_iter=max_iter)
+    return rep.solution, rep

@@ -215,10 +215,10 @@ def test_10_cg_converges_within_iteration_cap():
         rng = substream(seed, "partitions")
         for i in partitioned_greedy(L, seed=seed).selected:
             part = balanced_partition(np.flatnonzero(state.remaining), 5, rng)
-            first_order_gains(state, part, tol=1e-10, max_iter=30)
+            _, _, reports = first_order_gains(state, part, tol=1e-10, max_iter=30)
+            solves += len(reports)
+            converged += sum(rep.converged for rep in reports)
             state.add(i)
-        solves += state.cg_solves
-        converged += state.cg_converged
     print(f"converged CG solves: {converged}/{solves} "
           f"({converged / solves:.4f}, required >= 0.95)")
     assert converged / solves >= 0.95

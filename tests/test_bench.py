@@ -109,6 +109,7 @@ def test_writers_round_trip(tmp_path):
     with open(csv_path, newline="") as fh:
         records = list(csv.reader(fh))
     assert tuple(records[0]) == CSV_COLUMNS
+    assert not any(column.startswith("cg_") for column in CSV_COLUMNS)
     assert len(records) == len(rows) + 1
     assert records[1][0] == "lazy"
     assert int(records[1][4]) == rows[0].set_size

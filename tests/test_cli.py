@@ -93,9 +93,9 @@ def test_every_algorithm_solves(tmp_path):
         if algo != "brute":  # enumeration reports no per-step gains
             assert len(payload["gains"]) >= 1
         assert payload["stop_reason"]
-        for key in ("log_det", "exact_evals", "cg_iters", "cg_solves",
-                    "cg_converged", "ms"):
+        for key in ("log_det", "exact_evals", "ms"):
             assert key in payload
+        assert not any(key.startswith("cg_") for key in payload)
 
 
 def test_solve_reads_csv_kernels(tmp_path):

@@ -185,6 +185,7 @@ def test_solvers_keep_invariants_on_adversarial_kernels(data):
         assert results["alg2"].metrics["batch_steps"] == 0
         assert results["alg2"].selected == results["alg1"].selected
         assert results["alg2"].gains == results["alg1"].gains
+        assert results["alg2"].metrics == results["alg1"].metrics
 
 
 def test_greedy_state_invariants():
@@ -328,7 +329,7 @@ def test_first_order_exact_for_singleton_partitions():
     state, ref = _rows_and_factor(L, (4, 9, 2))
     rest = ref.remaining_indices()
     part = Partition(groups=[np.array([i]) for i in rest])
-    cand, est = first_order_gains(state, part)
+    cand, est, _ = first_order_gains(state, part)
     assert np.array_equal(cand, rest)
     for c, value in zip(cand, est):
         exact = schur_marginal_gain(L, state.selected, int(c))
@@ -336,7 +337,7 @@ def test_first_order_exact_for_singleton_partitions():
     # a singleton group has no deviation from its average, so even one CG
     # iteration leaves every estimate at the exact gain
     exact = ref.factor.gain_many(L[np.ix_(ref.selected, rest)], np.diag(L)[rest])
-    _, capped = first_order_gains(state, part, max_iter=1)
+    _, capped, _ = first_order_gains(state, part, max_iter=1)
     assert np.abs(capped - exact).max() <= 1e-12
 
 
@@ -345,11 +346,22 @@ def test_first_order_costs_two_cg_runs_per_group():
     state, _ = _rows_and_factor(L, (1, 17, 30))
     rest = np.flatnonzero(state.remaining)
     for p in (1, 4, 7):
-        before = state.cg_solves
         part = balanced_partition(rest, p, substream(p, "partitions"))
-        first_order_gains(state, part)
+        _, _, reports = first_order_gains(state, part)
         # one inverse column per group; the Schur terms come from the rows
-        assert state.cg_solves - before == p
+        assert len(reports) == p
+        assert all(rep.col_iterations.size == 1 for rep in reports)
+    # item 3 copies the selected item 17, so its singleton group's averaged
+    # Schur complement is zero up to rounding: priced -inf, with no CG run
+    L[3, :] = L[17, :]
+    L[:, 3] = L[:, 17]
+    state, _ = _rows_and_factor(L, (1, 17, 30))
+    rest = np.flatnonzero(state.remaining)
+    part = Partition(groups=[np.array([3]), np.setdiff1d(rest, [3])])
+    cand, est, reports = first_order_gains(state, part)
+    assert cand[0] == 3 and est[0] == -np.inf
+    assert np.isfinite(est[1:]).all()
+    assert len(reports) == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
@@ -366,7 +378,7 @@ def test_first_order_never_underestimates_exact_gain(d, data):
     rest = ref.remaining_indices()
     p = data.draw(st.integers(1, 5))
     part = balanced_partition(rest, p, substream(seed, "partitions"))
-    cols, est = first_order_gains(rows, part, max_iter=200)
+    cols, est, reports = first_order_gains(rows, part, max_iter=200)
     exact = ref.factor.gain_many(L[np.ix_(ref.selected, cols)], np.diag(L)[cols])
     slack = 1e-10 * np.maximum(1.0, np.where(np.isfinite(exact), np.abs(exact), 0.0))
     assert (est >= exact - slack).all()
@@ -374,7 +386,7 @@ def test_first_order_never_underestimates_exact_gain(d, data):
     row_cols, row_est = rows.first_order(part)
     assert np.array_equal(row_cols, cols)
     assert (row_est >= exact - slack).all()
-    if rows.cg_converged == rows.cg_solves:
+    if all(rep.converged for rep in reports):
         assert np.array_equal(np.isfinite(row_est), np.isfinite(est))
         live = np.isfinite(est)
         assert (np.abs(row_est[live] - est[live])
@@ -461,7 +473,7 @@ def test_first_order_error_shrinks_with_more_groups():
             state, ref = _rows_and_factor(L, warm.selected)
             rest = ref.remaining_indices()
             part = balanced_partition(rest, p, substream(seed, f"groups-{p}"))
-            cand, est = first_order_gains(state, part)
+            cand, est, _ = first_order_gains(state, part)
             borders = L[np.ix_(ref.selected, rest)]
             exact = dict(zip(rest.tolist(),
                              ref.factor.gain_many(borders, np.diag(L)[rest])))
@@ -598,18 +610,6 @@ def test_top_l_refine_tie_rules():
     assert abs(gain - np.log(3.0)) <= 1e-15
 
 
-def test_batch_greedy_with_unit_batches_reduces_to_partitioned():
-    # k=1 batches cover every candidate and ell=40 re-scores both pools in
-    # full, so either solver accepts the exact greedy pick each step
-    L = kernel(20, 2)
-    reference = partitioned_greedy(L, budget=8, p=1, ell=20, seed=0)
-    reduced = batch_greedy(
-        L, budget=8, p=1, k=1, s=1, ell=40, seed=0,
-        batch_sampler=lambda remaining, k, s, rng: remaining[:, None],
-    )
-    assert reduced.selected == reference.selected
-
-
 def test_batch_greedy_monotone_selects_everything():
     res = batch_greedy(kernel(30, 3), seed=0)
     assert res.size == 30
@@ -653,3 +653,37 @@ def test_batch_greedy_refuses_a_batch_that_repeats_a_selected_direction():
             assert not {7, 13} <= set(res.selected)
             fresh = cholesky_logdet(L[np.ix_(res.selected, res.selected)])[0]
             assert abs(sum(res.gains) - fresh) <= 1e-8
+
+
+def test_a_refine_of_only_dependent_candidates_does_not_end_the_run():
+    # item 7 copies item 13, so the one sampled 13-batch holds both whenever
+    # it is drawn and prices -inf; at ell = 1 it fills the cut, which used to
+    # end the run with nothing selected.  The fallback takes the item of best
+    # exact gain instead, so alg2 reaches lazy's log det.
+    L = 50.0 * kernel(14, 1, shift=0.0)
+    L[7, :] = L[13, :]
+    L[:, 7] = L[:, 13]
+    res = batch_greedy(L, p=1, k=13, s=1, ell=1, seed=0)
+    lazy = lazy_greedy(L)
+    assert res.size == lazy.size == 13
+    assert abs(res.log_det - lazy.log_det) <= 1e-8
+    fresh = cholesky_logdet(L[np.ix_(res.selected, res.selected)])[0]
+    assert abs(sum(res.gains) - fresh) <= 1e-8
+
+
+def test_top_l_refine_falls_back_when_the_cut_prices_minus_inf():
+    # item 4 is all zero, so its exact gain is -inf; a cut holding only item
+    # 4 falls back on the best exact gain of any item, lazy's pick
+    L = kernel(10, 3)
+    L[4, :] = L[:, 4] = 0.0
+    state, _ = _rows_and_factor(L, (1,))
+    items = np.flatnonzero(state.remaining)
+    estimates = np.where(items == 4, 10.0, 0.0)
+    evals = state.exact_evals
+    gain, best = top_l_refine(state, 1, items, estimates)
+    lazy_pick = int(items[np.argmax(state.schur[items])])
+    assert best == lazy_pick and gain == np.log(state.schur[lazy_pick])
+    assert state.exact_evals - evals == 1 + items.size
+    # with no items at all there is nothing to fall back on
+    with pytest.raises(ValueError, match="nothing to refine"):
+        top_l_refine(state, 1, items[:0], np.zeros(0))

@@ -8,7 +8,6 @@ from dppmap.kernel import SyntheticConfig, generate_synthetic_kernel
 from dppmap.linalg import (
     BorderedKernel,
     CholeskyFactor,
-    _SharedBaseBordered,
     border_average,
     bordered_inverse_columns,
     cg_solve,
@@ -219,7 +218,6 @@ def test_border_average_single_member():
     bk = border_average(L, [0, 3, 5], [6])
     assert np.array_equal(bk.border[:, 0], L[[0, 3, 5], 6])
     assert bk.corner[0, 0] == L[6, 6]
-    assert bk.count == 1
 
 
 def test_border_average_idempotent_for_equal_columns():
@@ -245,21 +243,6 @@ def test_border_average_is_entrywise_mean():
     manual_corner = np.mean([L[i, i] for i in members])
     assert np.abs(bk.border[:, 0] - manual_border).max() <= 1e-15
     assert abs(bk.corner[0, 0] - manual_corner) <= 1e-15
-
-
-def test_border_average_reuses_gathered_blocks():
-    L = random_spd(10, substream(16, "spd"))
-    sel = np.array([1, 4])
-    members = np.array([2, 3, 5, 6])
-    plain = border_average(L, sel, members)
-    reused = border_average(
-        L, sel, members,
-        base=L[np.ix_(sel, sel)],
-        columns=L[np.ix_(sel, members)],
-    )
-    assert np.array_equal(plain.base, reused.base)
-    assert np.array_equal(plain.border, reused.border)
-    assert np.array_equal(plain.corner, reused.corner)
 
 
 def test_border_average_rejects_empty_members():
@@ -307,23 +290,6 @@ def test_bordered_matmat_matches_assembled():
                                  corner=np.array([[2.0, 0.5], [0.5, 1.0]]))
     v = rng.standard_normal((2, 4))
     assert np.abs(corner_only.matmat(v) - corner_only.corner @ v).max() <= 1e-12
-
-
-def test_shared_base_bordered_matches_individual_kernels():
-    rng = substream(19, "spd")
-    base = random_spd(9, rng)
-    kernels = [
-        BorderedKernel(base=base, border=rng.standard_normal((9, 2)),
-                       corner=random_spd(2, rng))
-        for _ in range(3)
-    ]
-    width = 5
-    w = rng.standard_normal((11, 3 * width))
-    shared = _SharedBaseBordered(kernels, width)
-    out = shared.matmat(w)
-    for g, bk in enumerate(kernels):
-        cols = slice(g * width, (g + 1) * width)
-        assert np.abs(out[:, cols] - bk.matmat(w[:, cols])).max() <= 1e-12
 
 
 def test_telescoping_gains_match_full_factorization():
