@@ -287,8 +287,8 @@ def variance_study(trials=100, dim=40, draws=200, probe_count=20, degree=15,
     reports = []
     for trial in range(trials):
         a, b = _banded_pair(dim, delta, closeness, rng_pair)
-        op_a = RescaledOperator(operator=a, scale=1.0, delta=delta, dim=dim)
-        op_b = RescaledOperator(operator=b, scale=1.0, delta=delta, dim=dim)
+        op_a = RescaledOperator(matrix=a, scale=1.0, delta=delta)
+        op_b = RescaledOperator(matrix=b, scale=1.0, delta=delta)
         shared = np.empty(draws)
         indep = np.empty(draws)
         for r in range(draws):

@@ -55,6 +55,16 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _thread_count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be positive, got {value}")
+    return value
+
+
 def _add_solver_flags(sub):
     sub.add_argument("--p", type=int, default=5, help="number of partition groups")
     sub.add_argument("--k", type=int, default=10, help="batch size")
@@ -77,14 +87,14 @@ def build_parser():
     seed = _env_seed()
     parser = _Parser(prog="dppmap",
                      description="Greedy MAP inference for determinantal point processes.")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_thread_count, default=None,
                         help="BLAS thread count (applied before numpy loads)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("gen-kernel", parents=[], help="write a synthetic kernel file")
     _add_kernel_flags(gen, seed)
     gen.add_argument("--out", required=True, help="output kernel path")
-    gen.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
+    gen.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
     solve = commands.add_parser("solve", help="run one solver on a kernel")
     _add_kernel_flags(solve, seed)
@@ -93,7 +103,7 @@ def build_parser():
                        choices=["exact", "lazy", "alg1", "alg2", "brute"])
     _add_solver_flags(solve)
     solve.add_argument("--json", default=None, help="write the full result as JSON")
-    solve.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
+    solve.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
     bench = commands.add_parser("bench", help="timed comparison against the lazy baseline")
     bench.add_argument("--dim", type=_int_list, default=(1000,),
@@ -109,7 +119,7 @@ def build_parser():
     bench.add_argument("--repeats", type=int, default=1, help="timing repetitions (median)")
     bench.add_argument("--out", default=None, help="CSV output path")
     bench.add_argument("--json", default=None, help="JSON output path")
-    bench.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
+    bench.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
     sweep = commands.add_parser("sweep", help="vary one solver parameter with paired seeds")
     sweep.add_argument("parameter", choices=["p", "k"])
@@ -123,7 +133,7 @@ def build_parser():
     sweep.add_argument("--repeats", type=int, default=1)
     sweep.add_argument("--out", default=None, help="CSV output path")
     sweep.add_argument("--json", default=None, help="JSON output path")
-    sweep.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
+    sweep.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
     var = commands.add_parser("variance",
                               help="shared vs independent probe variance study")
@@ -134,13 +144,13 @@ def build_parser():
     var.add_argument("--n", type=int, default=15, help="polynomial degree")
     var.add_argument("--repeats", type=int, default=200, help="draws per matrix pair")
     var.add_argument("--out", default=None, help="CSV output path")
-    var.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
+    var.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
     verify = commands.add_parser("verify", help="recheck a saved solve result")
     verify.add_argument("result", help="JSON file produced by solve --json")
     verify.add_argument("--kernel", default=None,
                         help="kernel file (default: what the result records)")
-    verify.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
+    verify.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
     return parser
 
@@ -321,6 +331,22 @@ def _cmd_variance(args):
     return 0
 
 
+def _selection_problem(selected, d):
+    """Why ``selected`` is not a list of distinct item ids below d, or None."""
+    if not isinstance(selected, list):
+        return "'selected' is not a list of item ids"
+    seen = set()
+    for i in selected:
+        if isinstance(i, bool) or not isinstance(i, int):
+            return f"selected id {i!r} is not an integer"
+        if not 0 <= i < d:
+            return f"selected id {i} is out of range for a kernel of {d} items"
+        if i in seen:
+            return f"selected id {i} appears more than once"
+        seen.add(i)
+    return None
+
+
 def _cmd_verify(args):
     import numpy as np
 
@@ -348,6 +374,10 @@ def _cmd_verify(args):
         else:
             print("no kernel recorded in result; pass --kernel", file=sys.stderr)
             return 1
+    problem = _selection_problem(selected, L.shape[0])
+    if problem:
+        print(f"dppmap: error: {problem}", file=sys.stderr)
+        return 1
     idx = np.asarray(selected, dtype=int)
     recomputed, _ = cholesky_logdet(L[np.ix_(idx, idx)])
     diff = abs(recomputed - stored)

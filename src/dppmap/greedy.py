@@ -45,7 +45,6 @@ from .logdet import chebyshev_coefficients, rademacher_probes  # noqa: F401
 __all__ = [
     "GreedyState",
     "RowState",
-    "Partition",
     "SelectionResult",
     "balanced_partition",
     "brute_force_map",
@@ -61,15 +60,9 @@ __all__ = [
 ENUMERATION_LIMIT = 10**7
 
 
-@dataclass
-class Partition:
-    """Disjoint balanced groups over candidate items or batch slots."""
-
-    groups: list
-
-
 def balanced_partition(items, p, rng):
-    """Randomly split ``items`` into min(p, len) groups of near-equal size."""
+    """Randomly split ``items`` into a list of min(p, len) disjoint sorted
+    groups of near-equal size."""
     items = np.asarray(items)
     n = items.size
     if n == 0:
@@ -78,8 +71,7 @@ def balanced_partition(items, p, rng):
         raise ValueError(f"p must be positive, got {p}")
     p_eff = min(p, n)
     perm = rng.permutation(n)
-    groups = [np.sort(items[perm[g::p_eff]]) for g in range(p_eff)]
-    return Partition(groups=groups)
+    return [np.sort(items[perm[g::p_eff]]) for g in range(p_eff)]
 
 
 @dataclass
@@ -100,6 +92,19 @@ class SelectionResult:
     @property
     def size(self):
         return len(self.selected)
+
+
+def _result(state, algorithm, stop_reason, **metrics):
+    """The ``SelectionResult`` of a ``GreedyState`` or ``RowState`` run."""
+    return SelectionResult(
+        algorithm=algorithm,
+        selected=list(state.selected),
+        gains=list(state.gains),
+        log_det=state.log_det,
+        exact_evals=state.exact_evals,
+        stop_reason=stop_reason,
+        metrics=metrics,
+    )
 
 
 class GreedyState:
@@ -136,17 +141,6 @@ class GreedyState:
         self.remaining[i] = False
         self.gains.append(g)
         return g
-
-    def result(self, algorithm, stop_reason, **metrics):
-        return SelectionResult(
-            algorithm=algorithm,
-            selected=list(self.selected),
-            gains=list(self.gains),
-            log_det=self.log_det,
-            exact_evals=self.exact_evals,
-            stop_reason=stop_reason,
-            metrics=metrics,
-        )
 
 
 def _logdet_pd(s):
@@ -263,15 +257,15 @@ class RowState:
                 out[b] = log_det
         return out
 
-    def batch_first_order(self, batches, partition):
+    def batch_first_order(self, batches, groups):
         """The k-column form of ``first_order``: first-order batch estimates.
 
-        ``batches`` is an (s, k) array of item batches and ``partition`` groups
-        its row indices.  Returns (pool, estimates): the batches in pool order
-        (groups in order) and their estimates.  For a group let W be the
-        slot-wise mean of its R_B = R[:, B] (t x k), C the symmetrized mean of
-        its L[B, B] and S = C - W^T W, the Schur complement of the averaged
-        bordered kernel.  Batch B is priced
+        ``batches`` is an (s, k) array of item batches and ``groups`` a list
+        of arrays of its row indices.  Returns (pool, estimates): the batches
+        in pool order (groups in order) and their estimates.  For a group let
+        W be the slot-wise mean of its R_B = R[:, B] (t x k), C the
+        symmetrized mean of its L[B, B] and S = C - W^T W, the Schur
+        complement of the averaged bordered kernel.  Batch B is priced
 
             log det S + tr(S^-1 (L[B, B] - C)) - 2 tr(S^-1 W^T (R_B - W)),
 
@@ -279,7 +273,6 @@ class RowState:
         k x k Cholesky per group; a group whose S is not positive definite
         is priced -inf.
         """
-        groups = partition.groups
         pool = batches[np.concatenate(groups)]
         rb = self.rows[: self.size][:, pool]  # (t, s, k)
         corners = self.L[pool[:, :, None], pool[:, None, :]]
@@ -308,19 +301,19 @@ class RowState:
         out[pos] = np.log(s[pos])
         return out
 
-    def first_order(self, partition):
+    def first_order(self, groups):
         """``first_order_gains``' estimates in closed form from the rows.
 
-        Returns (candidates, estimates) in ``first_order_gains``' order: groups
-        in order, members sorted.  For group g let W be the mean of its rows
-        R[:, g], c the mean of its diagonal and S = c - W·W, the Schur
-        complement of the averaged bordered kernel.  Member i is priced
+        ``groups`` is a list of item arrays.  Returns (candidates, estimates)
+        in ``first_order_gains``' order: groups in order, members as given.
+        For group g let W be the mean of its rows R[:, g], c the mean of its
+        diagonal and S = c - W·W, the Schur complement of the averaged
+        bordered kernel.  Member i is priced
         log S + (L[i, i] - c)/S - 2(W·R[:, i] - W·W)/S, the value the CG path
         converges to; every member of a group with S <= 0 is priced -inf.
         W is R times the d x p matrix of 1/|g| group indicators and W^T R a
         second product, so no column of R or L is gathered.
         """
-        groups = partition.groups
         sizes = np.array([g.size for g in groups])
         cand = np.concatenate(groups)
         owner = np.repeat(np.arange(sizes.size), sizes)
@@ -339,17 +332,6 @@ class RowState:
         est[live] = (np.log(S) + (self.diag[cand[live]] - c[o]) / S
                      - 2.0 * (cross[live] - ww[o]) / S)
         return cand, est
-
-    def result(self, algorithm, stop_reason, **metrics):
-        return SelectionResult(
-            algorithm=algorithm,
-            selected=list(self.selected),
-            gains=list(self.gains),
-            log_det=self.log_det,
-            exact_evals=self.exact_evals,
-            stop_reason=stop_reason,
-            metrics=metrics,
-        )
 
 
 def _check_budget(budget, d):
@@ -416,7 +398,7 @@ def exact_greedy(L, budget=None):
             stop = "nonpositive-gain"
             break
         state.add(int(rest[j]), border=borders[:, j] if state.size else None)
-    return state.result("exact", stop)
+    return _result(state, "exact", stop)
 
 
 def lazy_greedy(L, budget=None):
@@ -443,7 +425,7 @@ def lazy_greedy(L, budget=None):
             stop = "nonpositive-gain"
             break
         state.add(i)
-    return state.result("lazy", stop)
+    return _result(state, "lazy", stop)
 
 
 def sample_batches(remaining, k, s, rng):
@@ -462,12 +444,13 @@ def sample_batches(remaining, k, s, rng):
     return np.sort(ids[pos], axis=1)
 
 
-def first_order_gains(state, partition, tol=1e-10, max_iter=30):
+def first_order_gains(state, groups, tol=1e-10, max_iter=30):
     """CG form of ``RowState.first_order``, kept as its reference.
 
-    For each group the candidates' bordered kernels are averaged; the gain of
-    member i is the inner product of its deviation from the average with the
-    average's last inverse column, plus the exact Schur log-gain of the
+    For each group of ``groups`` (a list of item arrays) the candidates'
+    bordered kernels are averaged; the gain of member i is the inner product
+    of its deviation from the average with the average's last inverse
+    column, plus the exact Schur log-gain of the
     average itself, log(c - W·W) with W the mean of the group's rows and c
     the mean of its diagonal.  Each group with a positive averaged Schur
     complement costs one ``bordered_inverse_columns`` run; every member of a
@@ -480,11 +463,11 @@ def first_order_gains(state, partition, tol=1e-10, max_iter=30):
     R = state.rows[: state.size]
     est = []
     reports = []
-    for g in partition.groups:
+    for g in groups:
         est.append(np.full(g.size, -np.inf))
         bk = border_average(L, sel, g)
         w = R[:, g].mean(axis=1)
-        s = bk.corner[0, 0] - w @ w
+        s = bk.corner - w @ w
         if not s > 0:
             continue
         try:
@@ -492,10 +475,9 @@ def first_order_gains(state, partition, tol=1e-10, max_iter=30):
         except np.linalg.LinAlgError:
             continue
         reports.append(rep)
-        z = z[:, 0]
-        db = L[np.ix_(sel, g)] - bk.border
-        est[-1] = 2.0 * (z[:-1] @ db) + z[-1] * (state.diag[g] - bk.corner[0, 0]) + np.log(s)
-    return np.concatenate(partition.groups), np.concatenate(est), reports
+        db = L[np.ix_(sel, g)] - bk.border[:, None]
+        est[-1] = 2.0 * (z[:-1] @ db) + z[-1] * (state.diag[g] - bk.corner) + np.log(s)
+    return np.concatenate(groups), np.concatenate(est), reports
 
 
 def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=None):
@@ -593,8 +575,8 @@ def _first_order_greedy(algorithm, L, budget, p, ell, seed, k=None, s=None):
         else:
             state.add(best)
             single_steps += 1
-    return state.result(algorithm, stop, epsilon_hat=eps_hat,
-                        batch_steps=batch_steps, single_steps=single_steps)
+    return _result(state, algorithm, stop, epsilon_hat=eps_hat,
+                   batch_steps=batch_steps, single_steps=single_steps)
 
 
 def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):

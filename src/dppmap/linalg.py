@@ -1,12 +1,12 @@
 """Dense linear algebra for greedy log-determinant maximization.
 
-Provides an incrementally growing Cholesky factor (one row per accepted item),
-a conjugate-gradient solver that runs many right-hand sides in lockstep, the
-bordered operator of the CG reference for the averaged first-order gain
-estimates, and the Schur-complement marginal gain through a Cholesky factor.
+Provides an incrementally growing Cholesky factor (one row per accepted item)
+with the Schur-complement gains it prices, a conjugate-gradient solver for one
+right-hand side, and the one-column bordered kernel whose last inverse column
+the CG reference of the averaged first-order gain estimate solves for.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -18,7 +18,6 @@ __all__ = [
     "BorderedKernel",
     "cholesky_logdet",
     "cg_solve",
-    "schur_marginal_gain",
     "border_average",
     "bordered_inverse_columns",
 ]
@@ -91,22 +90,9 @@ class CholeskyFactor:
         out[pos] = np.log(s[pos])
         return out
 
-    def gain_block(self, border, corner):
-        """Joint gain of appending a k-column block; -inf if the block Schur
-        complement is not positive definite."""
-        corner = np.asarray(corner, dtype=float)
-        if self.order == 0:
-            s = corner
-        else:
-            w = self.solve_lower(border)
-            s = corner - w.T @ w
-        c, info = dpotrf(s, lower=1)
-        if info != 0:
-            return -np.inf
-        return float(2.0 * np.sum(np.log(np.diag(c))))
-
     def gain_block_many(self, borders, corners):
-        """Vectorized ``gain_block``: one triangular solve for all blocks.
+        """Joint gains of appending each of nb k-column blocks, from one
+        triangular solve for all blocks.
 
         ``borders`` is (t, nb, k) with one border block per candidate,
         ``corners`` is (nb, k, k).  Returns an (nb,) array, -inf where a
@@ -193,188 +179,114 @@ def cholesky_logdet(a):
 class CgReport:
     """Outcome of a conjugate-gradient solve.
 
-    ``residual_norm`` is the recomputed ||A x - b||_2 at exit (max over
-    columns for block solves), not the recurrence residual.
+    ``residual_norm`` is the recomputed ||A x - b||_2 at exit, not the
+    recurrence residual.
     """
 
     solution: np.ndarray
     iterations: int
     residual_norm: float
     converged: bool
-    col_iterations: np.ndarray = field(default=None, repr=False)
-    col_residuals: np.ndarray = field(default=None, repr=False)
-    col_converged: np.ndarray = field(default=None, repr=False)
 
+    # One-element per-column views, read by benchmark/tracing.py.
+    @property
+    def col_iterations(self):
+        return np.array([self.iterations])
 
-def _matmat_of(op):
-    """Uniform (apply, dim) access for ndarrays and operator objects."""
-    if isinstance(op, np.ndarray):
-        return (lambda w: op @ w), op.shape[0]
-    return op.matmat, op.dim
+    @property
+    def col_converged(self):
+        return np.array([self.converged])
 
 
 def cg_solve(op, b, tol=1e-10, max_iter=30):
-    """Conjugate gradients on an SPD operator.
+    """Conjugate gradients on an SPD operator ``op`` (anything with ``@`` and
+    ``shape``) for one right-hand side vector ``b``.
 
-    ``b`` may be a vector or a matrix of right-hand sides; columns are solved
-    as independent CG runs executed in lockstep.  A column counts as converged
-    once ||r||_2 <= tol * max(1, ||b_col||_2).  A nonpositive curvature
-    direction on an unconverged column raises LinAlgError (breakdown).
+    Converged once ||r||_2 <= tol * max(1, ||b||_2).  A nonpositive curvature
+    direction before convergence raises LinAlgError (breakdown).
     """
-    apply_op, n = _matmat_of(op)
     b = np.asarray(b, dtype=float)
-    single = b.ndim == 1
-    rhs = b[:, None] if single else b
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, operator dimension is {n}")
-    ncols = rhs.shape[1]
+    if b.ndim != 1:
+        raise ValueError(f"rhs must be a vector, got shape {b.shape}")
+    n = op.shape[0]
+    if b.size != n:
+        raise ValueError(f"rhs has {b.size} rows, operator dimension is {n}")
 
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    thresh = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    thresh_sq = thresh * thresh
-    rz = np.einsum("ij,ij->j", r, r)
-    active = rz > thresh_sq
-    col_iters = np.zeros(ncols, dtype=int)
-    p = np.where(active, r, 0.0)
-
+    x = np.zeros_like(b)
+    r = b.copy()
+    thresh = tol * max(1.0, float(np.linalg.norm(b)))
+    rz = r @ r
+    p = r.copy()
     iterations = 0
-    while active.any() and iterations < max_iter:
+    while rz > thresh * thresh and iterations < max_iter:
         iterations += 1
-        ap = apply_op(p)
-        pap = np.einsum("ij,ij->j", p, ap)
-        all_active = bool(active.all())
-        if all_active:
-            if (pap <= 0).any():
-                raise np.linalg.LinAlgError(
-                    f"CG breakdown: nonpositive curvature at iteration {iterations}"
-                )
-            alpha = rz / pap
-        else:
-            if (active & (pap <= 0)).any():
-                raise np.linalg.LinAlgError(
-                    f"CG breakdown: nonpositive curvature at iteration {iterations}"
-                )
-            alpha = np.zeros(ncols)
-            alpha[active] = rz[active] / pap[active]
+        ap = op @ p
+        pap = p @ ap
+        if pap <= 0:
+            raise np.linalg.LinAlgError(
+                f"CG breakdown: nonpositive curvature at iteration {iterations}"
+            )
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        rz_new = np.einsum("ij,ij->j", r, r)
-        newly_done = active & (rz_new <= thresh_sq)
-        if newly_done.any():
-            col_iters[newly_done] = iterations
-            active = active & ~newly_done
-            all_active = False
-        if all_active:
-            beta = rz_new / rz
-            p = r + beta * p
-        else:
-            beta = np.zeros(ncols)
-            beta[active] = rz_new[active] / rz[active]
-            p = r + beta * p
-            p[:, ~active] = 0.0
+        rz_new = r @ r
+        p = r + (rz_new / rz) * p
         rz = rz_new
-    col_iters[active] = iterations
 
-    true_res = np.linalg.norm(apply_op(x) - rhs, axis=0)
-    col_ok = true_res <= thresh
-    if single:
-        return CgReport(x[:, 0], iterations, float(true_res[0]), bool(col_ok[0]),
-                        col_iters, true_res, col_ok)
-    return CgReport(x, iterations, float(true_res.max()), bool(col_ok.all()),
-                    col_iters, true_res, col_ok)
-
-
-def schur_marginal_gain(L, selected, i, factor=None):
-    """Marginal log-det gain of adding item ``i`` to the selected set.
-
-    Forward-substitutes against a Cholesky factor of L[X, X], building one if
-    ``factor`` is not supplied.  Nonpositive Schur complements yield -inf
-    rather than an error so greedy loops can skip the candidate.
-    """
-    selected = list(selected)
-    if i in selected:
-        raise ValueError(f"candidate {i} is already selected")
-    corner = float(L[i, i])
-    if not selected:
-        return float(np.log(corner)) if corner > 0 else -np.inf
-    if factor is None:
-        factor = CholeskyFactor.from_matrix(L[np.ix_(selected, selected)])
-    return factor.gain(L[selected, i], corner)
+    true_res = float(np.linalg.norm(op @ x - b))
+    return CgReport(x, iterations, true_res, true_res <= thresh)
 
 
 @dataclass
 class BorderedKernel:
-    """A selected-block matrix extended by k averaged border columns.
+    """A selected block bordered by one column: [[base, border], [border^T, corner]].
 
-    Represents [[base, border], [border^T, corner]] without assembling it;
-    ``matmat`` applies the blocks directly so CG never touches a (t+k)^2
-    matrix.
+    ``border`` is a (t,) vector and ``corner`` a float.  ``@`` applies the
+    blocks to a vector directly, so CG never touches a (t+1)^2 matrix.
     """
 
     base: np.ndarray
     border: np.ndarray
-    corner: np.ndarray
+    corner: float
 
     @property
-    def base_dim(self):
-        return self.base.shape[0]
+    def shape(self):
+        n = self.base.shape[0] + 1
+        return n, n
 
-    @property
-    def border_width(self):
-        return self.corner.shape[0]
-
-    @property
-    def dim(self):
-        return self.base_dim + self.border_width
-
-    def matmat(self, w):
-        t = self.base_dim
+    def __matmul__(self, w):
         out = np.empty_like(w)
-        if t:
-            np.matmul(self.base, w[:t], out=out[:t])
-            out[:t] += self.border @ w[t:]
-            np.matmul(self.border.T, w[:t], out=out[t:])
-            out[t:] += self.corner @ w[t:]
-        else:
-            np.matmul(self.corner, w, out=out)
+        out[:-1] = self.base @ w[:-1] + self.border * w[-1]
+        out[-1] = self.border @ w[:-1] + self.corner * w[-1]
         return out
 
     def assemble(self):
-        """Materialize the full (t+k) x (t+k) matrix (tests and small cases)."""
-        t, k = self.base_dim, self.border_width
-        full = np.empty((t + k, t + k))
-        full[:t, :t] = self.base
-        full[:t, t:] = self.border
-        full[t:, :t] = self.border.T
-        full[t:, t:] = self.corner
-        return full
+        """Materialize the full (t+1) x (t+1) matrix (tests and small cases)."""
+        return np.block([[self.base, self.border[:, None]],
+                         [self.border[None, :], np.array([[self.corner]])]])
 
 
 def border_average(L, selected, members):
     """Average the single-item bordered extensions of L[X, X] over ``members``.
 
-    Returns the border-width-1 kernel whose border is the mean of the columns
-    L[X, i] and whose corner is the mean of L[i, i] over the items i in
-    ``members``.
+    Returns the kernel whose border is the mean of the columns L[X, i] and
+    whose corner is the mean of L[i, i] over the items i in ``members``.
     """
     if len(members) == 0:
         raise ValueError("members must be nonempty")
     selected = np.asarray(selected, dtype=np.intp)
     cols = np.asarray(members, dtype=np.intp)
-    border = L[np.ix_(selected, cols)].mean(axis=1, keepdims=True)
-    corner = np.array([[L[cols, cols].mean()]])
+    border = L[np.ix_(selected, cols)].mean(axis=1)
+    corner = float(L[cols, cols].mean())
     return BorderedKernel(base=L[np.ix_(selected, selected)], border=border, corner=corner)
 
 
 def bordered_inverse_columns(bordered, tol=1e-10, max_iter=30):
-    """Last-k columns of the inverse of a bordered kernel.
+    """Last column of the inverse of a bordered kernel.
 
-    Solves (assembled kernel) Z = E with E selecting the k border
-    coordinates, one lockstep CG column each.  Returns (Z, CgReport).
+    Solves (assembled kernel) z = e_last by CG.  Returns (z, CgReport).
     """
-    t = bordered.base_dim
-    rhs = np.zeros((bordered.dim, bordered.border_width))
-    rhs[t:] = np.eye(bordered.border_width)
+    rhs = np.zeros(bordered.shape[0])
+    rhs[-1] = 1.0
     rep = cg_solve(bordered, rhs, tol=tol, max_iter=max_iter)
     return rep.solution, rep

@@ -16,7 +16,6 @@ from ._rng import substream
 
 __all__ = [
     "ChebyshevExpansion",
-    "ProbeSet",
     "RescaledOperator",
     "chebyshev_coefficients",
     "rademacher_probes",
@@ -26,8 +25,8 @@ __all__ = [
     "probe_variance_bound",
 ]
 
+DELTA_TARGET = 0.01
 DELTA_FLOOR = 1e-4
-DELTA_CEIL = 0.2
 
 
 @dataclass(frozen=True)
@@ -88,123 +87,89 @@ def chebyshev_coefficients(degree, delta):
     return ChebyshevExpansion(degree=n, delta=delta, coefficients=coeff)
 
 
-@dataclass(frozen=True)
-class ProbeSet:
-    """A block of Rademacher probe vectors (entries exactly +-1), one per column."""
-
-    vectors: np.ndarray
-
-    @property
-    def dim(self):
-        return self.vectors.shape[0]
-
-    @property
-    def count(self):
-        return self.vectors.shape[1]
-
-
 def rademacher_probes(dim, count, rng):
-    """Draw a ProbeSet from ``rng``; signs come from the top bit of raw draws."""
+    """A (dim, count) array of +-1 probe vectors, one per column, drawn from
+    ``rng`` (a Generator or an integer seed); signs come from the top bit of
+    raw draws."""
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be positive")
     if isinstance(rng, (int, np.integer)):
         rng = substream(int(rng), "probes")
     bits = rng.integers(0, 2**64, size=(dim, count), dtype=np.uint64, endpoint=False)
-    return ProbeSet(np.where(bits >> np.uint64(63), 1.0, -1.0))
+    return np.where(bits >> np.uint64(63), 1.0, -1.0)
 
 
 @dataclass(frozen=True)
 class RescaledOperator:
-    """An SPD operator scaled by ``c`` so its spectrum fits [delta, 1 - delta].
+    """An SPD matrix scaled by ``scale`` so its spectrum fits [delta, 1 - delta].
 
-    log det of the original operator = (estimate on the scaled operator)
-    + ``logdet_correction``, where the correction is -dim * log c.
+    log det of the original matrix = (estimate on the scaled matrix)
+    + ``logdet_correction``, where the correction is -dim * log scale.
     """
 
-    operator: object
+    matrix: np.ndarray
     scale: float
     delta: float
-    dim: int
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
 
     @property
     def logdet_correction(self):
         return -self.dim * np.log(self.scale)
 
     def matmat(self, w):
-        op = self.operator
-        prod = op @ w if isinstance(op, np.ndarray) else op.matmat(w)
+        prod = self.matrix @ w
         if self.scale != 1.0:
             prod *= self.scale
         return prod
 
 
-def _scale_and_delta(bounds, delta_target=0.01):
-    """Scale ``c`` and clamped ``delta`` mapping ``bounds`` into [delta, 1 - delta]."""
-    if bounds.upper <= 0:
-        raise ValueError("bounds.upper must be positive for an SPD operator")
-    if not 0.0 < delta_target < 0.5:
-        raise ValueError(f"delta_target must lie in (0, 0.5), got {delta_target}")
-    c = (1.0 - delta_target) / bounds.upper
-    delta = min(delta_target, c * bounds.lower)
-    delta = float(min(max(delta, DELTA_FLOOR), DELTA_CEIL))
-    return float(c), delta
-
-
-def rescale_spectrum(op, bounds, delta_target=0.01, dim=None):
+def rescale_spectrum(a, bounds):
     """Choose the scale and delta that map ``bounds`` into [delta, 1 - delta].
 
-    c = (1 - delta_target) / bounds.upper pins the top of the spectrum;
-    delta = min(delta_target, c * bounds.lower) then adapts to the scaled
-    bottom, clamped to [1e-4, 0.2].  When the clamp floor binds (severely
+    c = (1 - DELTA_TARGET) / bounds.upper pins the top of the spectrum;
+    delta = min(DELTA_TARGET, c * bounds.lower) then adapts to the scaled
+    bottom, floored at DELTA_FLOOR.  When the floor binds (severely
     ill-conditioned input) the bottom of the spectrum may fall below delta
     and the estimate degrades smoothly; callers relying on it only rank
     nearby matrices.
     """
-    if dim is None:
-        dim = op.shape[0] if isinstance(op, np.ndarray) else op.dim
-    c, delta = _scale_and_delta(bounds, delta_target)
-    return RescaledOperator(operator=op, scale=c, delta=delta, dim=dim)
-
-
-def _recurrence_quadratic_forms(apply_op, delta, coefficients, v):
-    """Per-probe quadratic forms v_i^T (sum_k c_k T_k(scaled op)) v_i.
-
-    ``apply_op`` must apply the already rescaled operator (spectrum inside
-    [delta, 1 - delta]); the Chebyshev argument (2x - 1)/(1 - 2 delta) is
-    folded into the three-term recurrence.  Runs the whole probe block at
-    once; the probe columns may belong to different operators if ``apply_op``
-    routes column groups accordingly.
-    """
-    degree = len(coefficients) - 1
-    s = 1.0 / (1.0 - 2.0 * delta)
-    w_prev = v
-    acc = coefficients[0] * v
-    if degree >= 1:
-        w_cur = 2.0 * s * apply_op(v) - s * v
-        acc = acc + coefficients[1] * w_cur
-        for k in range(2, degree + 1):
-            w_next = 4.0 * s * apply_op(w_cur) - 2.0 * s * w_cur - w_prev
-            acc += coefficients[k] * w_next
-            w_prev, w_cur = w_cur, w_next
-    return np.einsum("ij,ij->j", v, acc)
+    if bounds.upper <= 0:
+        raise ValueError("bounds.upper must be positive for an SPD operator")
+    c = (1.0 - DELTA_TARGET) / bounds.upper
+    delta = float(max(min(DELTA_TARGET, c * bounds.lower), DELTA_FLOOR))
+    return RescaledOperator(matrix=a, scale=float(c), delta=delta)
 
 
 def estimate_logdet(rescaled, expansion, probes):
-    """Chebyshev/Hutchinson estimate of log det of the original operator.
+    """Chebyshev/Hutchinson estimate of log det of the original matrix.
 
-    Runs the three-term recurrence on the whole probe block at once and
-    averages the quadratic forms in fixed probe order, so the result is
-    deterministic for a given ProbeSet.
+    ``probes`` is a (dim, count) array from ``rademacher_probes``.  Runs the
+    three-term recurrence of sum_k c_k T_k on the whole probe block at once,
+    with the Chebyshev argument (2x - 1)/(1 - 2 delta) folded in, and
+    averages the per-probe quadratic forms in fixed probe order, so the
+    result is deterministic for given probes.
     """
     if expansion.delta != rescaled.delta:
         raise ValueError(
             f"expansion delta {expansion.delta} != operator delta {rescaled.delta}"
         )
-    if probes.dim != rescaled.dim:
-        raise ValueError(f"probe dim {probes.dim} != operator dim {rescaled.dim}")
-    quad = _recurrence_quadratic_forms(
-        rescaled.matmat, rescaled.delta, expansion.coefficients, probes.vectors
-    )
+    if probes.shape[0] != rescaled.dim:
+        raise ValueError(f"probe dim {probes.shape[0]} != operator dim {rescaled.dim}")
+    c = expansion.coefficients
+    s = 1.0 / (1.0 - 2.0 * rescaled.delta)
+    acc = c[0] * probes
+    if expansion.degree >= 1:
+        w_prev = probes
+        w_cur = 2.0 * s * rescaled.matmat(probes) - s * probes
+        acc = acc + c[1] * w_cur
+        for k in range(2, expansion.degree + 1):
+            w_next = 4.0 * s * rescaled.matmat(w_cur) - 2.0 * s * w_cur - w_prev
+            acc += c[k] * w_next
+            w_prev, w_cur = w_cur, w_next
+    quad = np.einsum("ij,ij->j", probes, acc)
     return float(quad.mean() + rescaled.logdet_correction)
 
 

@@ -71,6 +71,42 @@ def test_verify_detects_tampering(tmp_path):
     assert main(["verify", str(result)]) == 2
 
 
+@pytest.mark.parametrize("selected, message", [
+    ([-1, 0, 1], "selected id -1 is out of range for a kernel of 25 items"),
+    ([0, 25], "selected id 25 is out of range for a kernel of 25 items"),
+    ([0, 2.0], "selected id 2.0 is not an integer"),
+    ([0, "3"], "selected id '3' is not an integer"),
+    ([0, 1, 0], "selected id 0 appears more than once"),
+], ids=["negative", "out-of-range", "float", "string", "duplicate"])
+def test_verify_rejects_bad_selected_ids(tmp_path, capsys, selected, message):
+    from dppmap.kernel import load_kernel
+    from dppmap.linalg import cholesky_logdet
+
+    kernel = tmp_path / "kernel.dppk"
+    assert main(["gen-kernel", "--dim", "25", "--out", str(kernel)]) == 0
+    L = load_kernel(str(kernel))
+    # the log det of the ids read modulo 25: a wrapped-around -1 would verify
+    wrapped = [24, 0, 1]
+    payload = {"selected": selected, "kernel": {"kernel_file": str(kernel)},
+               "log_det": cholesky_logdet(L[[[i] for i in wrapped], wrapped])[0]}
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(result)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_nonpositive_thread_count_is_a_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", count, "solve", "--dim", "8", "--budget", "2"])
+    assert exc.value.code == 1
+    assert "thread count must be positive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--dim", "8", f"--threads={count}"])
+    assert exc.value.code == 1
+
+
 def test_exact_and_lazy_agree_via_cli(tmp_path):
     picks = {}
     for algo in ("exact", "lazy"):

@@ -9,7 +9,6 @@ from scipy.linalg.lapack import dpotrf
 from dppmap._rng import substream
 from dppmap.greedy import (
     GreedyState,
-    Partition,
     RowState,
     balanced_partition,
     batch_greedy,
@@ -22,7 +21,7 @@ from dppmap.greedy import (
     top_l_refine,
 )
 from dppmap.kernel import SyntheticConfig, generate_synthetic_kernel
-from dppmap.linalg import CholeskyFactor, cholesky_logdet, schur_marginal_gain
+from dppmap.linalg import CholeskyFactor, cholesky_logdet
 
 
 def kernel(dim, seed, shift=1.01):
@@ -294,19 +293,17 @@ def test_budget_validation():
 def test_balanced_partition_properties():
     rng = substream(0, "partitions")
     items = np.arange(23)
-    part = balanced_partition(items, 5, rng)
-    sizes = [g.size for g in part.groups]
-    assert len(part.groups) == 5
+    groups = balanced_partition(items, 5, rng)
+    sizes = [g.size for g in groups]
+    assert len(groups) == 5
     assert max(sizes) - min(sizes) <= 1
-    merged = np.sort(np.concatenate(part.groups))
+    merged = np.sort(np.concatenate(groups))
     assert np.array_equal(merged, items)
-    for g in part.groups:
+    for g in groups:
         assert np.array_equal(g, np.sort(g))
 
-    singletons = balanced_partition(np.arange(3), 10, rng)
-    assert len(singletons.groups) == 3
-    whole = balanced_partition(items, 1, rng)
-    assert len(whole.groups) == 1
+    assert len(balanced_partition(np.arange(3), 10, rng)) == 3
+    assert len(balanced_partition(items, 1, rng)) == 1
 
     with pytest.raises(ValueError):
         balanced_partition(np.array([]), 3, rng)
@@ -328,11 +325,11 @@ def test_first_order_exact_for_singleton_partitions():
     L = kernel(18, 4)
     state, ref = _rows_and_factor(L, (4, 9, 2))
     rest = ref.remaining_indices()
-    part = Partition(groups=[np.array([i]) for i in rest])
+    part = [np.array([i]) for i in rest]
     cand, est, _ = first_order_gains(state, part)
     assert np.array_equal(cand, rest)
     for c, value in zip(cand, est):
-        exact = schur_marginal_gain(L, state.selected, int(c))
+        exact = ref.factor.gain(L[ref.selected, c], L[c, c])
         assert abs(value - exact) <= 1e-7
     # a singleton group has no deviation from its average, so even one CG
     # iteration leaves every estimate at the exact gain
@@ -357,7 +354,7 @@ def test_first_order_costs_two_cg_runs_per_group():
     L[:, 3] = L[:, 17]
     state, _ = _rows_and_factor(L, (1, 17, 30))
     rest = np.flatnonzero(state.remaining)
-    part = Partition(groups=[np.array([3]), np.setdiff1d(rest, [3])])
+    part = [np.array([3]), np.setdiff1d(rest, [3])]
     cand, est, reports = first_order_gains(state, part)
     assert cand[0] == 3 and est[0] == -np.inf
     assert np.isfinite(est[1:]).all()
@@ -430,7 +427,7 @@ def test_batch_first_order_matches_dense_oracle(d, data):
 
     # k = 1 batches of every item, grouped as the items are, are the singles
     items = balanced_partition(rest, p, substream(seed, "partitions"))
-    slots = Partition(groups=[np.searchsorted(rest, g) for g in items.groups])
+    slots = [np.searchsorted(rest, g) for g in items]
     pool, est = rows.batch_first_order(rest[:, None], slots)
     cand, single = rows.first_order(items)
     assert np.array_equal(pool[:, 0], cand)
@@ -446,13 +443,13 @@ def test_batch_first_order_matches_dense_oracle(d, data):
     batches = distinct[picks]
     part = balanced_partition(np.arange(len(picks)), p, substream(seed, "batch-groups"))
     pool, est = rows.batch_first_order(batches, part)
-    assert np.array_equal(pool, batches[np.concatenate(part.groups)])
+    assert np.array_equal(pool, batches[np.concatenate(part)])
     # log det is concave: the linearization over-estimates every exact gain
     exact = rows.batch_gains(pool)
     slack = 1e-10 * np.maximum(1.0, np.where(np.isfinite(exact), np.abs(exact), 0.0))
     assert (est >= exact - slack).all()
     start = 0
-    for g in part.groups:
+    for g in part:
         span = slice(start, start + g.size)
         start += g.size
         w = rows.rows[:t][:, pool[span]].mean(axis=1)
@@ -544,12 +541,12 @@ def test_sample_batches_full_batch_and_errors():
 
 def test_top_l_refine_full_width_is_exact_argmax():
     L = kernel(20, 11, shift=0.0)
-    state, _ = _rows_and_factor(L, (2, 13))
+    state, ref = _rows_and_factor(L, (2, 13))
     rest = np.flatnonzero(state.remaining)
     rng = substream(11, "noise")
     estimates = rng.standard_normal(rest.size)  # garbage: refinement must fix them
     gain, best = top_l_refine(state, rest.size, rest, estimates)
-    exact = {i: schur_marginal_gain(L, state.selected, int(i)) for i in rest}
+    exact = {i: ref.factor.gain(L[ref.selected, i], L[i, i]) for i in rest}
     true_best = max(sorted(exact), key=lambda i: exact[i])
     assert best == true_best
     assert abs(gain - exact[true_best]) <= 1e-10
@@ -557,10 +554,10 @@ def test_top_l_refine_full_width_is_exact_argmax():
 
 def test_top_l_refine_ell_one_scores_single_leader():
     L = kernel(12, 12)
-    state, _ = _rows_and_factor(L, (0,))
+    state, ref = _rows_and_factor(L, (0,))
     gain, best = top_l_refine(state, 1, np.array([3, 7]), np.array([5.0, 1.0]))
     assert best == 3
-    assert abs(gain - schur_marginal_gain(L, [0], 3)) <= 1e-10
+    assert abs(gain - ref.factor.gain(L[[0], 3], L[3, 3])) <= 1e-10
 
 
 def test_top_l_refine_scores_batches_exactly():
@@ -569,7 +566,8 @@ def test_top_l_refine_scores_batches_exactly():
     batch = (2, 9)
     gain, best = top_l_refine(state, 2, np.array([1]), np.array([-4.0]),
                               np.array([batch]), np.array([3.0]))
-    expected = ref.factor.gain_block(L[np.ix_([5], batch)], L[np.ix_(batch, batch)])
+    expected = ref.factor.gain_block_many(L[np.ix_([5], batch)][:, None, :],
+                                          L[np.ix_(batch, batch)][None])[0]
     assert best == batch
     assert abs(gain - expected) <= 1e-10
 

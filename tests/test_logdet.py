@@ -6,7 +6,8 @@ import pytest
 from dppmap._rng import substream
 from dppmap.kernel import SpectralBounds, spectral_bounds
 from dppmap.logdet import (
-    DELTA_CEIL,
+    DELTA_FLOOR,
+    DELTA_TARGET,
     RescaledOperator,
     chebyshev_coefficients,
     estimate_logdet,
@@ -68,10 +69,10 @@ def test_probes_are_rademacher_and_deterministic():
     a = rademacher_probes(30, 8, 5)
     b = rademacher_probes(30, 8, 5)
     c = rademacher_probes(30, 8, 6)
-    assert a.dim == 30 and a.count == 8
-    assert np.isin(a.vectors, (-1.0, 1.0)).all()
-    assert np.array_equal(a.vectors, b.vectors)
-    assert not np.array_equal(a.vectors, c.vectors)
+    assert a.shape == (30, 8)
+    assert np.isin(a, (-1.0, 1.0)).all()
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         rademacher_probes(0, 5, 0)
     with pytest.raises(ValueError):
@@ -80,16 +81,23 @@ def test_probes_are_rademacher_and_deterministic():
 
 def test_probe_outer_products_average_to_identity():
     probes = rademacher_probes(10, 10000, 0)
-    outer_mean = probes.vectors @ probes.vectors.T / probes.count
+    outer_mean = probes @ probes.T / probes.shape[1]
     assert np.abs(outer_mean - np.eye(10)).max() <= 5.0 / np.sqrt(10000)
 
 
 def test_rescale_identity_clamps_delta():
-    op = rescale_spectrum(np.eye(3), SpectralBounds(1.0, 1.0, "gershgorin"),
-                          delta_target=0.25)
-    assert op.scale == 0.75
-    assert op.delta == DELTA_CEIL
-    assert 0.2 <= op.scale * 1.0 <= 0.8
+    # a well-conditioned spectrum gets the target delta, its top at 1 - target
+    op = rescale_spectrum(np.eye(3), SpectralBounds(1.0, 1.0, "gershgorin"))
+    assert DELTA_TARGET == 0.01
+    assert op.scale == 0.99
+    assert op.delta == DELTA_TARGET
+    assert op.dim == 3
+    # an ill-conditioned one has its delta floored at DELTA_FLOOR
+    op = rescale_spectrum(np.eye(3), SpectralBounds(1e-9, 1.0, "gershgorin"))
+    assert op.delta == DELTA_FLOOR
+    # in between, delta is the scaled bottom of the spectrum
+    op = rescale_spectrum(np.eye(3), SpectralBounds(0.005, 1.0, "gershgorin"))
+    assert op.delta == 0.99 * 0.005
 
 
 def test_rescale_correction_recovers_logdet():
@@ -112,16 +120,13 @@ def test_rescale_puts_spectrum_in_band():
 def test_rescale_rejects_bad_bounds():
     with pytest.raises(ValueError):
         rescale_spectrum(np.eye(2), SpectralBounds(-2.0, -1.0, "gershgorin"))
-    with pytest.raises(ValueError):
-        rescale_spectrum(np.eye(2), SpectralBounds(1.0, 1.0, "gershgorin"),
-                         delta_target=0.6)
 
 
 def test_estimate_exact_for_scaled_identity():
     # v^T (alpha I) v = alpha * d for every probe, so only the polynomial's
     # pointwise error at alpha remains
     d = 40
-    op = RescaledOperator(operator=np.eye(d), scale=0.5, delta=0.05, dim=d)
+    op = RescaledOperator(matrix=np.eye(d), scale=0.5, delta=0.05)
     exp = chebyshev_coefficients(15, 0.05)
     probes = rademacher_probes(d, 7, 1)
     est = estimate_logdet(op, exp, probes)
@@ -159,7 +164,7 @@ def test_hutchinson_unbiased_at_polynomial_level():
     rng = substream(32, "spd")
     a = random_spd(d, rng, lo=0.1, hi=0.8)  # already inside (0, 1)
     delta = 0.05
-    op = RescaledOperator(operator=a, scale=1.0, delta=delta, dim=d)
+    op = RescaledOperator(matrix=a, scale=1.0, delta=delta)
     exp = chebyshev_coefficients(10, delta)
 
     eigval, eigvec = np.linalg.eigh(a)
@@ -167,8 +172,8 @@ def test_hutchinson_unbiased_at_polynomial_level():
     true_trace = float(np.trace(dense_poly))
 
     probes = rademacher_probes(d, 10000, 2)
-    quads = np.einsum("ij,ij->j", probes.vectors, dense_poly @ probes.vectors)
-    stderr = quads.std(ddof=1) / np.sqrt(probes.count)
+    quads = np.einsum("ij,ij->j", probes, dense_poly @ probes)
+    stderr = quads.std(ddof=1) / np.sqrt(probes.shape[1])
     assert abs(quads.mean() - true_trace) <= 3.0 * stderr
 
     # the recurrence-based estimate equals the dense-polynomial average
@@ -211,8 +216,8 @@ def test_shared_probes_cancel_noise_on_nearby_matrices():
     e = (e + e.T) / 2.0
     b = a + 0.01 * e / np.linalg.norm(e)
     delta = 0.05
-    op_a = RescaledOperator(operator=a, scale=1.0, delta=delta, dim=40)
-    op_b = RescaledOperator(operator=b, scale=1.0, delta=delta, dim=40)
+    op_a = RescaledOperator(matrix=a, scale=1.0, delta=delta)
+    op_b = RescaledOperator(matrix=b, scale=1.0, delta=delta)
     exp = chebyshev_coefficients(15, delta)
     true_diff = np.linalg.slogdet(a)[1] - np.linalg.slogdet(b)[1]
     shared, indep = [], []
