@@ -81,6 +81,8 @@ def _add_kernel_flags(sub, seed):
     sub.add_argument("--beta2", type=float, default=0.2, help="quality log-offset")
     sub.add_argument("--shift", type=float, default=None,
                      help="diagonal shift (default 1.01 for gen-kernel/solve, 0 for bench/sweep)")
+    sub.add_argument("--feature-dim", type=int, default=None,
+                     help="synthetic feature dimension (default: the kernel dimension)")
 
 
 def build_parser():
@@ -165,22 +167,34 @@ def _load_any_kernel(path):
     return load_kernel_text(path)
 
 
-def _resolve_kernel(args, default_shift=1.01):
+def _synthetic_config(args):
+    """The ``SyntheticConfig`` of the gen-kernel/solve kernel flags."""
+    from .kernel import SyntheticConfig
+
+    shift = args.shift if args.shift is not None else 1.01
+    return SyntheticConfig(dim=args.dim, seed=args.seed, quality_slope=args.beta1,
+                           quality_offset=args.beta2, monotone_shift=shift,
+                           feature_dim=args.feature_dim)
+
+
+def _synthetic_record(cfg):
+    """A ``SyntheticConfig`` as the ``synthetic`` record of a result file."""
+    return {"dim": cfg.dim, "seed": cfg.seed, "beta1": cfg.quality_slope,
+            "beta2": cfg.quality_offset, "shift": cfg.monotone_shift,
+            "feature_dim": cfg.feature_dim}
+
+
+def _resolve_kernel(args):
     """Kernel matrix plus a provenance dict for result files."""
-    from .kernel import SyntheticConfig, generate_synthetic_kernel
+    from .kernel import generate_synthetic_kernel
 
     kernel_path = getattr(args, "kernel", None)
     if kernel_path:
         return _load_any_kernel(kernel_path), {"kernel_file": kernel_path}
     if args.dim is None:
         raise SystemExit("dppmap: error: provide --kernel or --dim")
-    shift = args.shift if args.shift is not None else default_shift
-    cfg = SyntheticConfig(dim=args.dim, seed=args.seed, quality_slope=args.beta1,
-                          quality_offset=args.beta2, monotone_shift=shift)
-    provenance = {"synthetic": {"dim": cfg.dim, "seed": cfg.seed,
-                                "beta1": cfg.quality_slope, "beta2": cfg.quality_offset,
-                                "shift": cfg.monotone_shift}}
-    return generate_synthetic_kernel(cfg), provenance
+    cfg = _synthetic_config(args)
+    return generate_synthetic_kernel(cfg), {"synthetic": _synthetic_record(cfg)}
 
 
 def _echo(label, mapping):
@@ -189,16 +203,12 @@ def _echo(label, mapping):
 
 
 def _cmd_gen_kernel(args):
-    from .kernel import SyntheticConfig, generate_synthetic_kernel, save_kernel
+    from .kernel import generate_synthetic_kernel, save_kernel
 
     if args.dim is None:
         raise SystemExit("dppmap: error: gen-kernel requires --dim")
-    shift = args.shift if args.shift is not None else 1.01
-    cfg = SyntheticConfig(dim=args.dim, seed=args.seed, quality_slope=args.beta1,
-                          quality_offset=args.beta2, monotone_shift=shift)
-    _echo("gen-kernel", {"dim": cfg.dim, "seed": cfg.seed, "beta1": cfg.quality_slope,
-                         "beta2": cfg.quality_offset, "shift": cfg.monotone_shift,
-                         "out": args.out})
+    cfg = _synthetic_config(args)
+    _echo("gen-kernel", {**_synthetic_record(cfg), "out": args.out})
     save_kernel(args.out, generate_synthetic_kernel(cfg))
     print(f"wrote {args.out} (dim={cfg.dim})")
     return 0
@@ -347,6 +357,9 @@ def _selection_problem(selected, d):
     return None
 
 
+_SYNTHETIC_KEYS = ("dim", "seed", "beta1", "beta2", "shift")
+
+
 def _cmd_verify(args):
     import numpy as np
 
@@ -355,6 +368,8 @@ def _cmd_verify(args):
 
     with open(args.result) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("result file is not a JSON object")
     selected = payload.get("selected")
     stored = payload.get("log_det")
     if selected is None or stored is None:
@@ -368,9 +383,15 @@ def _cmd_verify(args):
             L = _load_any_kernel(info["kernel_file"])
         elif "synthetic" in info:
             syn = info["synthetic"]
+            if not isinstance(syn, dict):
+                raise ValueError("kernel.synthetic record is not a JSON object")
+            missing = [key for key in _SYNTHETIC_KEYS if key not in syn]
+            if missing:
+                raise ValueError(f"kernel.synthetic record lacks {', '.join(missing)}")
             L = generate_synthetic_kernel(SyntheticConfig(
                 dim=syn["dim"], seed=syn["seed"], quality_slope=syn["beta1"],
-                quality_offset=syn["beta2"], monotone_shift=syn["shift"]))
+                quality_offset=syn["beta2"], monotone_shift=syn["shift"],
+                feature_dim=syn.get("feature_dim")))
         else:
             print("no kernel recorded in result; pass --kernel", file=sys.stderr)
             return 1

@@ -16,8 +16,11 @@ expansion around a partition-averaged bordered kernel, in closed form from
 the rows (``RowState.first_order``), re-scores the top ``ell`` exactly
 (``top_l_refine``) and accepts the best.  alg2 adds a pool of sampled
 k-batches, priced the same way from one k x k Cholesky per group
-(``RowState.batch_first_order``) and re-scored by their joint gains.  Once
-the rows are kept an exact gain costs O(1) per candidate and an estimate
+(``RowState.batch_first_order``) and re-scored by their joint gains
+(``RowState.pool_gains``).  Each works on the pool as stacked arrays, with
+one batched LAPACK Cholesky per call and no Python loop over batches or
+groups, and the refine reuses the rows the pricing gathered.  Once the rows
+are kept an exact gain costs O(1) per candidate and an estimate
 O(t), so alg1 pays lazy's row update plus 2p passes over the rows and cannot
 beat lazy; the paper's saving exists only where the rows are not kept.
 ``first_order_gains`` is the CG form of the single-item estimate, one
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from ._rng import substream
@@ -143,12 +146,41 @@ class GreedyState:
         return g
 
 
+_PIVOT_FLOOR = np.sqrt(np.finfo(float).eps)
+
+
 def _logdet_pd(s):
     """(log det, lower Cholesky factor) of a small matrix; (-inf, None) if not PD."""
     c, info = dpotrf(s, lower=1)
     if info != 0:
         return -np.inf, None
     return float(2.0 * np.sum(np.log(np.diag(c)))), c
+
+
+def _logdet_pd_many(stack, floors=None):
+    """``_logdet_pd`` over an (n, k, k) stack: (log dets, lower factors).
+
+    One LAPACK Cholesky factors the whole stack; only when it raises, because
+    some member is not positive definite, is each member factored on its own.
+    A member that is not PD, or (with ``floors``, an (n, k) array) whose
+    squared pivot at j is not above floors[:, j], gets log det -inf and the
+    identity as its factor.
+    """
+    bad = np.zeros(stack.shape[0], dtype=bool)
+    try:
+        factors = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(stack)
+        for b, s in enumerate(stack):
+            c = _logdet_pd(s)[1]
+            bad[b] = c is None
+            factors[b] = np.eye(s.shape[0]) if bad[b] else np.tril(c)
+    pivots = np.diagonal(factors, axis1=1, axis2=2)
+    if floors is not None:
+        bad |= ~(pivots**2 > floors).all(axis=1)
+    log_dets = 2.0 * np.log(pivots).sum(axis=1)
+    log_dets[bad] = -np.inf
+    return log_dets, factors
 
 
 class RowState:
@@ -176,6 +208,7 @@ class RowState:
         self.gains = []
         self.log_det = 0.0
         self.exact_evals = 0
+        self._priced = None  # (pool, R[:, pool]) of the last batch_first_order
 
     @property
     def size(self):
@@ -236,6 +269,17 @@ class RowState:
         self.remaining[items] = False
         return g
 
+    def _gather(self, batches):
+        """R[:, batches] for an (n, k) array of items, as a (t, n, k) array."""
+        t = self.size
+        return np.take(self.rows[:t], batches.ravel(), axis=1).reshape(t, *batches.shape)
+
+    def _joint_gains(self, batches, rb):
+        """``batch_gains`` of ``batches`` from their gathered rows rb = R[:, batches]."""
+        rt = rb.transpose(1, 2, 0)  # (n, k, t)
+        schurs = self.L[batches[:, :, None], batches[:, None, :]] - rt @ rt.transpose(0, 2, 1)
+        return _logdet_pd_many(schurs, _PIVOT_FLOOR * self.diag[batches])[0]
+
     def batch_gains(self, batches):
         """Joint gains log det(L[B, B] - R_B^T R_B) of the rows B of ``batches``.
 
@@ -244,18 +288,22 @@ class RowState:
         the subtraction has then cancelled over half the digits of j's
         complement, which is rounding noise when j depends on the rest of the
         batch and the selection, and the joint gain would count log(noise).
+        All batches are factored by one stacked Cholesky.
         """
         batches = np.asarray(batches, dtype=np.intp)
-        rb = self.rows[: self.size][:, batches]  # (t, nb, k)
-        schurs = (self.L[batches[:, :, None], batches[:, None, :]]
-                  - np.einsum("tbi,tbj->bij", rb, rb))
-        floors = np.sqrt(np.finfo(float).eps) * self.diag[batches]
-        out = np.full(batches.shape[0], -np.inf)
-        for b, s in enumerate(schurs):
-            log_det, factor = _logdet_pd(s)
-            if factor is not None and (np.diag(factor) ** 2 > floors[b]).all():
-                out[b] = log_det
-        return out
+        return self._joint_gains(batches, self._gather(batches))
+
+    def pool_gains(self, pool, picked):
+        """``batch_gains(pool[picked])``.
+
+        When ``pool`` is the pool ``batch_first_order`` last priced and no
+        item has been accepted since, the chosen batches' rows are sliced
+        from the rows it gathered instead of being gathered from R again.
+        """
+        priced = self._priced
+        if priced is not None and priced[0] is pool and priced[1].shape[0] == self.size:
+            return self._joint_gains(pool[picked], priced[1][:, picked])
+        return self.batch_gains(pool[picked])
 
     def batch_first_order(self, batches, groups):
         """The k-column form of ``first_order``: first-order batch estimates.
@@ -269,28 +317,31 @@ class RowState:
 
             log det S + tr(S^-1 (L[B, B] - C)) - 2 tr(S^-1 W^T (R_B - W)),
 
-        the linearization of log det around the averaged kernel, from one
-        k x k Cholesky per group; a group whose S is not positive definite
-        is priced -inf.
+        the linearization of log det around the averaged kernel; a group
+        whose S is not positive definite is priced -inf.  The pool's rows are
+        gathered once, group means are sums over its contiguous group spans,
+        and all p groups' S are factored by one stacked Cholesky; the
+        gathered rows are kept for ``pool_gains``.
         """
+        sizes = np.array([g.size for g in groups])
+        starts = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(sizes.size), sizes)
         pool = batches[np.concatenate(groups)]
-        rb = self.rows[: self.size][:, pool]  # (t, s, k)
+        rb = self._gather(pool)  # (t, s, k)
         corners = self.L[pool[:, :, None], pool[:, None, :]]
-        est = np.full(pool.shape[0], -np.inf)
-        start = 0
-        for g in groups:
-            span = slice(start, start + g.size)
-            start += g.size
-            w = rb[:, span].mean(axis=1)
-            c = corners[span].mean(axis=0)
-            c = (c + c.T) / 2.0
-            log_det, factor = _logdet_pd(c - w.T @ w)
-            if factor is None:
-                continue
-            inv = cho_solve((factor, True), np.eye(c.shape[0]), check_finite=False)
-            v = w @ inv
-            est[span] = (log_det + np.einsum("ij,bij->b", inv, corners[span] - c)
-                         - 2.0 * (np.einsum("tj,tbj->b", v, rb[:, span]) - np.sum(v * w)))
+        w = np.add.reduceat(rb, starts, axis=1) / sizes[:, None]  # (t, p, k)
+        c = np.add.reduceat(corners, starts, axis=0) / sizes[:, None, None]
+        c = (c + c.transpose(0, 2, 1)) / 2.0
+        wt = w.transpose(1, 2, 0)  # (p, k, t)
+        log_det, factors = _logdet_pd_many(c - wt @ wt.transpose(0, 2, 1))
+        half = np.linalg.inv(factors)
+        inv = half.transpose(0, 2, 1) @ half  # S^-1 per group
+        v = (w.transpose(1, 0, 2) @ inv).transpose(1, 0, 2)  # W S^-1, (t, p, k)
+        vw = np.einsum("tgj,tgj->g", v, w)
+        cross = np.einsum("tbj,tbj->b", np.repeat(v, sizes, axis=1), rb)
+        est = (log_det[owner] + np.einsum("bij,bij->b", inv[owner], corners - c[owner])
+               - 2.0 * (cross - vw[owner]))
+        self._priced = (pool, rb)
         return pool, est
 
     def exact_gains(self, items):
@@ -311,20 +362,20 @@ class RowState:
         bordered kernel.  Member i is priced
         log S + (L[i, i] - c)/S - 2(W·R[:, i] - W·W)/S, the value the CG path
         converges to; every member of a group with S <= 0 is priced -inf.
-        W is R times the d x p matrix of 1/|g| group indicators and W^T R a
-        second product, so no column of R or L is gathered.
+        W^T is the p x d matrix of 1/|g| group indicators times R^T and W^T R
+        a second product, so no column of R or L is gathered.
         """
         sizes = np.array([g.size for g in groups])
         cand = np.concatenate(groups)
         owner = np.repeat(np.arange(sizes.size), sizes)
-        avg = np.zeros((self.diag.size, sizes.size))
-        avg[cand, owner] = 1.0 / sizes[owner]
+        avg = np.zeros((sizes.size, self.diag.size))
+        avg[owner, cand] = 1.0 / sizes[owner]
         R = self.rows[: self.size]
-        W = R @ avg
-        ww = np.einsum("tg,tg->g", W, W)
-        c = self.diag @ avg
+        Wt = avg @ R.T
+        ww = np.einsum("gt,gt->g", Wt, Wt)
+        c = avg @ self.diag
         S = (c - ww)[owner]
-        cross = (W.T @ R)[owner, cand]
+        cross = (Wt @ R)[owner, cand]
         est = np.full(cand.size, -np.inf)
         live = S > 0
         S = S[live]
@@ -480,14 +531,31 @@ def first_order_gains(state, groups, tol=1e-10, max_iter=30):
     return np.concatenate(groups), np.concatenate(est), reports
 
 
+def _top_cut(values, ell):
+    """``np.argsort(-values, kind="stable")[:ell]`` by a partial sort.
+
+    Everything strictly above the ell-th largest value, in stable descending
+    order, then the items tied at that value in index order.  ``values`` holds
+    no NaN.
+    """
+    if ell >= values.size:
+        return np.argsort(-values, kind="stable")
+    neg = -values
+    kth = np.partition(neg, ell - 1)[ell - 1]
+    above = np.flatnonzero(neg < kth)
+    above = above[np.argsort(neg[above], kind="stable")]
+    return np.concatenate([above, np.flatnonzero(neg == kth)[: ell - above.size]])
+
+
 def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=None):
     """Exactly re-score the ``ell`` highest estimates; returns (gain, winner).
 
     ``items`` are item ids priced ``estimates``; ``batches`` is an optional
-    (s, k) array of item batches priced ``batch_estimates``.  The cut is a
-    stable sort of the item estimates followed by the batch estimates, so
-    singles go first on equal estimates.  Items are scored from the kept
-    complements, batches by ``RowState.batch_gains``.  The winner has the
+    (s, k) array of item batches priced ``batch_estimates``.  The cut keeps
+    the ``ell`` highest of the item estimates followed by the batch
+    estimates, ties in that order, so singles go first on equal estimates;
+    it is taken by a partial sort.  Items are scored from the kept
+    complements, batches by ``RowState.pool_gains``.  The winner has the
     highest exact gain; on ties a single beats a batch, then the smallest
     item wins, then the lexicographically smallest batch.  When every gain
     in the cut is -inf the winner is the item of ``items`` with the highest
@@ -502,14 +570,15 @@ def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=Non
     if n == 0 and batches is None:
         raise ValueError("nothing to refine: no items and no batches")
     values = estimates if batches is None else np.concatenate([estimates, batch_estimates])
-    top = np.argsort(-values, kind="stable")[:ell]
+    top = _top_cut(values, ell)
     state.exact_evals += int(top.size)
     singles = items[top[top < n]]
     gains = state.exact_gains(singles)
     best = gains.max(initial=-np.inf)
     if batches is not None and (top >= n).any():
-        chosen = batches[top[top >= n] - n]
-        batch_gains = state.batch_gains(chosen)
+        picked = top[top >= n] - n
+        chosen = batches[picked]
+        batch_gains = state.pool_gains(batches, picked)
         if batch_gains.max() > best or n == 0:
             best = batch_gains.max()
             return float(best), min(map(tuple, chosen[batch_gains == best].tolist()))

@@ -96,6 +96,47 @@ def test_verify_rejects_bad_selected_ids(tmp_path, capsys, selected, message):
     assert message in capsys.readouterr().err
 
 
+def test_verify_rejects_a_result_that_is_not_an_object(tmp_path, capsys):
+    result = tmp_path / "result.json"
+    result.write_text("[1, 2]")
+    assert main(["verify", str(result)]) == 1
+    assert "dppmap: error: result file is not a JSON object" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_incomplete_synthetic_record(tmp_path, capsys):
+    result = tmp_path / "result.json"
+    assert main(["solve", "--dim", "20", "--budget", "3", "--json", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    del payload["kernel"]["synthetic"]["seed"]
+    result.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(result)]) == 1
+    assert "dppmap: error: kernel.synthetic record lacks seed" in capsys.readouterr().err
+
+
+def test_feature_dim_round_trips_through_gen_kernel_solve_and_verify(tmp_path):
+    from dppmap.kernel import SyntheticConfig, generate_synthetic_kernel, load_kernel
+
+    kernel = tmp_path / "kernel.dppk"
+    assert main(["gen-kernel", "--dim", "30", "--feature-dim", "4", "--seed", "2",
+                 "--out", str(kernel)]) == 0
+    expected = generate_synthetic_kernel(SyntheticConfig(dim=30, seed=2, feature_dim=4))
+    assert (load_kernel(str(kernel)) == expected).all()
+    assert (load_kernel(str(kernel)) != generate_synthetic_kernel(
+        SyntheticConfig(dim=30, seed=2))).any()
+    result = tmp_path / "result.json"
+    assert main(["solve", "--dim", "30", "--feature-dim", "4", "--seed", "2",
+                 "--budget", "8", "--json", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    assert payload["kernel"]["synthetic"]["feature_dim"] == 4
+    assert main(["verify", str(result)]) == 0
+    # a record without it (older files) means as many features as items,
+    # which is another kernel, so the stored log det no longer verifies
+    del payload["kernel"]["synthetic"]["feature_dim"]
+    result.write_text(json.dumps(payload))
+    assert main(["verify", str(result)]) == 2
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_nonpositive_thread_count_is_a_usage_error(count, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from scipy.linalg.lapack import dpotrf
 
 from dppmap._rng import substream
 from dppmap.greedy import (
+    _PIVOT_FLOOR,
     GreedyState,
     RowState,
     balanced_partition,
@@ -20,6 +21,7 @@ from dppmap.greedy import (
     sample_batches,
     top_l_refine,
 )
+from dppmap.greedy import _logdet_pd, _logdet_pd_many, _top_cut
 from dppmap.kernel import SyntheticConfig, generate_synthetic_kernel
 from dppmap.linalg import CholeskyFactor, cholesky_logdet
 
@@ -446,6 +448,11 @@ def test_batch_first_order_matches_dense_oracle(d, data):
     assert np.array_equal(pool, batches[np.concatenate(part)])
     # log det is concave: the linearization over-estimates every exact gain
     exact = rows.batch_gains(pool)
+    # the refine's reuse of the rows priced here gives the same joint gains
+    picked = np.arange(pool.shape[0])[::-1]
+    reused = rows.pool_gains(pool, picked)
+    assert np.array_equal(np.isfinite(reused), np.isfinite(exact[picked]))
+    assert _close(reused[np.isfinite(reused)], exact[picked][np.isfinite(reused)], 1e-12)
     slack = 1e-10 * np.maximum(1.0, np.where(np.isfinite(exact), np.abs(exact), 0.0))
     assert (est >= exact - slack).all()
     start = 0
@@ -685,3 +692,58 @@ def test_top_l_refine_falls_back_when_the_cut_prices_minus_inf():
     # with no items at all there is nothing to fall back on
     with pytest.raises(ValueError, match="nothing to refine"):
         top_l_refine(state, 1, items[:0], np.zeros(0))
+
+
+def _spd_stack(rng, n, k):
+    a = rng.standard_normal((n, k, k))
+    return a @ a.transpose(0, 2, 1) + k * np.eye(k)
+
+
+def test_stacked_logdet_matches_the_per_matrix_factor():
+    rng = substream(0, "stacked-logdet")
+    for k in (1, 3, 10):
+        stack = _spd_stack(rng, 40, k)
+        log_dets, factors = _logdet_pd_many(stack)
+        for s, log_det, factor in zip(stack, log_dets, factors):
+            ref, c = _logdet_pd(s)
+            assert abs(log_det - ref) <= 1e-12
+            assert np.abs(factor - np.tril(c)).max() <= 1e-12 * np.abs(c).max()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(mask=st.lists(st.booleans(), min_size=1, max_size=12), k=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+def test_stacked_logdet_is_minus_inf_for_exactly_the_non_pd_members(mask, k, seed):
+    rng = substream(seed, "stacked-logdet")
+    stack = _spd_stack(rng, len(mask), k)
+    for b in np.flatnonzero(mask):
+        # one eigenvalue pushed below zero
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        lam = np.linalg.eigvalsh(stack[b])
+        lam[rng.integers(k)] = -rng.uniform(0.1, 5.0)
+        stack[b] = (q * lam) @ q.T
+    log_dets, factors = _logdet_pd_many(stack)
+    assert np.array_equal(np.isneginf(log_dets), np.array(mask))
+    for b in np.flatnonzero(~np.array(mask)):
+        assert abs(log_dets[b] - _logdet_pd(stack[b])[0]) <= 1e-12
+    assert np.isfinite(factors).all()
+
+
+def test_stacked_logdet_applies_the_pivot_floor():
+    # both members are PD, but the second one's pivot at item 1 squares to
+    # 1e-10, under sqrt(eps) times its diagonal
+    stack = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-10]]])
+    floors = _PIVOT_FLOOR * np.diagonal(stack, axis1=1, axis2=2)
+    assert np.isfinite(_logdet_pd_many(stack)[0]).all()
+    log_dets, _ = _logdet_pd_many(stack, floors)
+    assert abs(log_dets[0] - np.log(3.0)) <= 1e-15
+    assert log_dets[1] == -np.inf
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(values=st.lists(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf]),
+                       min_size=1, max_size=60),
+       ell=st.integers(1, 70))
+def test_top_cut_is_the_stable_argsort_prefix(values, ell):
+    v = np.array(values)
+    assert np.array_equal(_top_cut(v, ell), np.argsort(-v, kind="stable")[:ell])
