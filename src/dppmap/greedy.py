@@ -17,12 +17,12 @@ the rows (``RowState.first_order``), re-scores the top ``ell`` exactly
 (``top_l_refine``) and accepts the best.  alg2 adds a pool of sampled
 k-batches, priced the same way from one k x k Cholesky per group
 (``RowState.batch_first_order``) and re-scored by their joint gains
-(``RowState.pool_gains``).  Each works on the pool as stacked arrays, with
+(``RowState.batch_gains``).  Both work on the pool as stacked arrays, with
 one batched LAPACK Cholesky per call and no Python loop over batches or
-groups, and the refine reuses the rows the pricing gathered.  Once the rows
-are kept an exact gain costs O(1) per candidate and an estimate
-O(t), so alg1 pays lazy's row update plus 2p passes over the rows and cannot
-beat lazy; the paper's saving exists only where the rows are not kept.
+groups.  Once the rows are kept an exact gain costs O(1) per candidate and
+an estimate O(t), so alg1 pays lazy's row update plus 2p passes over the
+rows and cannot beat lazy; the paper's saving exists only where the rows
+are not kept.
 ``first_order_gains`` is the CG form of the single-item estimate, one
 conjugate-gradient run per group, kept as the reference the closed form is
 tested against.
@@ -208,7 +208,6 @@ class RowState:
         self.gains = []
         self.log_det = 0.0
         self.exact_evals = 0
-        self._priced = None  # (pool, R[:, pool]) of the last batch_first_order
 
     @property
     def size(self):
@@ -269,17 +268,6 @@ class RowState:
         self.remaining[items] = False
         return g
 
-    def _gather(self, batches):
-        """R[:, batches] for an (n, k) array of items, as a (t, n, k) array."""
-        t = self.size
-        return np.take(self.rows[:t], batches.ravel(), axis=1).reshape(t, *batches.shape)
-
-    def _joint_gains(self, batches, rb):
-        """``batch_gains`` of ``batches`` from their gathered rows rb = R[:, batches]."""
-        rt = rb.transpose(1, 2, 0)  # (n, k, t)
-        schurs = self.L[batches[:, :, None], batches[:, None, :]] - rt @ rt.transpose(0, 2, 1)
-        return _logdet_pd_many(schurs, _PIVOT_FLOOR * self.diag[batches])[0]
-
     def batch_gains(self, batches):
         """Joint gains log det(L[B, B] - R_B^T R_B) of the rows B of ``batches``.
 
@@ -288,22 +276,15 @@ class RowState:
         the subtraction has then cancelled over half the digits of j's
         complement, which is rounding noise when j depends on the rest of the
         batch and the selection, and the joint gain would count log(noise).
-        All batches are factored by one stacked Cholesky.
+        The batch columns are gathered by one ``np.take`` and all batches are
+        factored by one stacked Cholesky.
         """
         batches = np.asarray(batches, dtype=np.intp)
-        return self._joint_gains(batches, self._gather(batches))
-
-    def pool_gains(self, pool, picked):
-        """``batch_gains(pool[picked])``.
-
-        When ``pool`` is the pool ``batch_first_order`` last priced and no
-        item has been accepted since, the chosen batches' rows are sliced
-        from the rows it gathered instead of being gathered from R again.
-        """
-        priced = self._priced
-        if priced is not None and priced[0] is pool and priced[1].shape[0] == self.size:
-            return self._joint_gains(pool[picked], priced[1][:, picked])
-        return self.batch_gains(pool[picked])
+        t = self.size
+        rb = np.take(self.rows[:t], batches.ravel(), axis=1).reshape(t, *batches.shape)
+        rt = rb.transpose(1, 2, 0)  # (n, k, t)
+        schurs = self.L[batches[:, :, None], batches[:, None, :]] - rt @ rt.transpose(0, 2, 1)
+        return _logdet_pd_many(schurs, _PIVOT_FLOOR * self.diag[batches])[0]
 
     def batch_first_order(self, batches, groups):
         """The k-column form of ``first_order``: first-order batch estimates.
@@ -320,14 +301,14 @@ class RowState:
         the linearization of log det around the averaged kernel; a group
         whose S is not positive definite is priced -inf.  The pool's rows are
         gathered once, group means are sums over its contiguous group spans,
-        and all p groups' S are factored by one stacked Cholesky; the
-        gathered rows are kept for ``pool_gains``.
+        and all p groups' S are factored by one stacked Cholesky.
         """
         sizes = np.array([g.size for g in groups])
         starts = np.cumsum(sizes) - sizes
         owner = np.repeat(np.arange(sizes.size), sizes)
         pool = batches[np.concatenate(groups)]
-        rb = self._gather(pool)  # (t, s, k)
+        t = self.size
+        rb = np.take(self.rows[:t], pool.ravel(), axis=1).reshape(t, *pool.shape)
         corners = self.L[pool[:, :, None], pool[:, None, :]]
         w = np.add.reduceat(rb, starts, axis=1) / sizes[:, None]  # (t, p, k)
         c = np.add.reduceat(corners, starts, axis=0) / sizes[:, None, None]
@@ -341,7 +322,6 @@ class RowState:
         cross = np.einsum("tbj,tbj->b", np.repeat(v, sizes, axis=1), rb)
         est = (log_det[owner] + np.einsum("bij,bij->b", inv[owner], corners - c[owner])
                - 2.0 * (cross - vw[owner]))
-        self._priced = (pool, rb)
         return pool, est
 
     def exact_gains(self, items):
@@ -555,7 +535,7 @@ def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=Non
     the ``ell`` highest of the item estimates followed by the batch
     estimates, ties in that order, so singles go first on equal estimates;
     it is taken by a partial sort.  Items are scored from the kept
-    complements, batches by ``RowState.pool_gains``.  The winner has the
+    complements, batches by ``RowState.batch_gains``.  The winner has the
     highest exact gain; on ties a single beats a batch, then the smallest
     item wins, then the lexicographically smallest batch.  When every gain
     in the cut is -inf the winner is the item of ``items`` with the highest
@@ -576,9 +556,8 @@ def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=Non
     gains = state.exact_gains(singles)
     best = gains.max(initial=-np.inf)
     if batches is not None and (top >= n).any():
-        picked = top[top >= n] - n
-        chosen = batches[picked]
-        batch_gains = state.pool_gains(batches, picked)
+        chosen = batches[top[top >= n] - n]
+        batch_gains = state.batch_gains(chosen)
         if batch_gains.max() > best or n == 0:
             best = batch_gains.max()
             return float(best), min(map(tuple, chosen[batch_gains == best].tolist()))
