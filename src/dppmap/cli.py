@@ -358,6 +358,23 @@ def _selection_problem(selected, d):
 
 
 _SYNTHETIC_KEYS = ("dim", "seed", "beta1", "beta2", "shift")
+_SYNTHETIC_INTS = ("dim", "seed", "feature_dim")
+
+
+def _check_synthetic_types(syn):
+    """Raise ValueError naming the first ``kernel.synthetic`` field of the wrong type.
+
+    ``dim``, ``seed`` and ``feature_dim`` (when present and not null) must be
+    integers, the rest real numbers; a JSON true/false is neither.
+    """
+    for key in _SYNTHETIC_KEYS + ("feature_dim",):
+        value = syn.get(key)
+        if key == "feature_dim" and value is None:
+            continue
+        integer = key in _SYNTHETIC_INTS
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a real number"
+            raise ValueError(f"kernel.synthetic {key} {value!r} is not {kind}")
 
 
 def _cmd_verify(args):
@@ -388,6 +405,7 @@ def _cmd_verify(args):
             missing = [key for key in _SYNTHETIC_KEYS if key not in syn]
             if missing:
                 raise ValueError(f"kernel.synthetic record lacks {', '.join(missing)}")
+            _check_synthetic_types(syn)
             L = generate_synthetic_kernel(SyntheticConfig(
                 dim=syn["dim"], seed=syn["seed"], quality_slope=syn["beta1"],
                 quality_offset=syn["beta2"], monotone_shift=syn["shift"],

@@ -460,19 +460,25 @@ def lazy_greedy(L, budget=None):
 
 
 def sample_batches(remaining, k, s, rng):
-    """Draw ``s`` independent uniform k-subsets of ``remaining`` (rows sorted)."""
+    """Draw ``s`` independent uniform k-subsets of ``remaining`` (rows sorted).
+
+    Floyd's algorithm (Bentley & Floyd, CACM 1987), run on all ``s`` batches
+    at once: round m = 0, ..., k-1 draws one position x in [0, j], j = r-k+m,
+    per batch and keeps x, or j when x is already in the batch.  It makes
+    s·k integer draws, whatever the number r of remaining items, and costs
+    O(s·k²) time for the membership tests.
+    """
     ids = np.asarray(remaining)
     r = ids.size
     if k < 1 or k > r:
         raise ValueError(f"batch size {k} not in [1, {r}]")
     if s < 1:
         raise ValueError(f"batch count must be positive, got {s}")
-    u = rng.random((s, r))
-    if k == r:
-        pos = np.tile(np.arange(r), (s, 1))
-    else:
-        pos = np.argpartition(u, k - 1, axis=1)[:, :k]
-    return np.sort(ids[pos], axis=1)
+    pos = rng.integers(0, np.arange(r - k + 1, r + 1)[:, None], size=(k, s))
+    for m in range(1, k):
+        x = pos[m]  # a view: round m's positions are resolved in place
+        x[(pos[:m] == x).any(axis=0)] = r - k + m
+    return np.sort(ids[pos.T], axis=1)
 
 
 def first_order_gains(state, groups, tol=1e-10, max_iter=30):
@@ -576,10 +582,10 @@ def _first_order_greedy(algorithm, L, budget, p, ell, seed, k=None, s=None):
     groups and prices them by ``RowState.first_order``.  With ``k`` set it
     first samples ``s`` k-batches, partitions them into p groups and prices
     them by ``RowState.batch_first_order``; that pool is skipped while fewer
-    than k items are left or a batch would overshoot the budget.
-    ``top_l_refine`` re-scores the top ``ell`` estimates over both pools and
-    the best is accepted.  Stops when the accepted gain is negative, at the
-    budget, or when items run out.
+    than k items are left or a batch would overshoot the budget, but k and
+    ``s`` are checked on entry.  ``top_l_refine`` re-scores the top ``ell``
+    estimates over both pools and the best is accepted.  Stops when the
+    accepted gain is negative, at the budget, or when items run out.
 
     Every item's exact gain is held anyway, so ``metrics["epsilon_hat"]``
     reports the worst single-item estimate error seen over the run, beside
@@ -589,6 +595,8 @@ def _first_order_greedy(algorithm, L, budget, p, ell, seed, k=None, s=None):
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
+    if k is not None and (k < 1 or s < 1):
+        raise ValueError(f"batch size and count must be positive, got k={k}, s={s}")
     L = np.asarray(L, dtype=float)
     cap = _check_budget(budget, L.shape[0])
     state = RowState(L, cap)

@@ -114,6 +114,27 @@ def test_verify_rejects_an_incomplete_synthetic_record(tmp_path, capsys):
     assert "dppmap: error: kernel.synthetic record lacks seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dim", "20", "dim '20' is not an integer"),
+    ("dim", 20.0, "dim 20.0 is not an integer"),
+    ("seed", True, "seed True is not an integer"),
+    ("feature_dim", "4", "feature_dim '4' is not an integer"),
+    ("beta1", "0.01", "beta1 '0.01' is not a real number"),
+    ("beta2", False, "beta2 False is not a real number"),
+    ("shift", None, "shift None is not a real number"),
+], ids=["dim-string", "dim-float", "seed-bool", "feature-dim-string", "beta1-string",
+        "beta2-bool", "shift-null"])
+def test_verify_rejects_a_mistyped_synthetic_record(tmp_path, capsys, key, value, message):
+    result = tmp_path / "result.json"
+    assert main(["solve", "--dim", "20", "--budget", "3", "--json", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    payload["kernel"]["synthetic"][key] = value
+    result.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(result)]) == 1
+    assert f"dppmap: error: kernel.synthetic {message}" in capsys.readouterr().err
+
+
 def test_feature_dim_round_trips_through_gen_kernel_solve_and_verify(tmp_path):
     from dppmap.kernel import SyntheticConfig, generate_synthetic_kernel, load_kernel
 
@@ -146,6 +167,15 @@ def test_nonpositive_thread_count_is_a_usage_error(count, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--dim", "8", f"--threads={count}"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("k, s", [("40", "0"), ("0", "50")])
+def test_solve_rejects_a_bad_alg2_pool(k, s):
+    proc = run_cli("solve", "--dim", "40", "--algo", "alg2", "--budget", "30",
+                   "--k", k, "--s", s)
+    assert proc.returncode == 1
+    assert "dppmap: error:" in proc.stderr
+    assert "selected" not in proc.stdout
 
 
 def test_exact_and_lazy_agree_via_cli(tmp_path):

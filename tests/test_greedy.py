@@ -1,5 +1,7 @@
 """All greedy maximizers: brute force, exact, lazy, partitioned, and batch."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,13 @@ def test_budget_validation():
     assert res.size == 5
 
 
+@pytest.mark.parametrize("k, s", [(0, 50), (-1, 50), (10, 0), (40, 0)])
+def test_batch_greedy_rejects_a_bad_pool_before_the_first_step(k, s):
+    # (40, 0): k > budget, so the pool would never be drawn to check s
+    with pytest.raises(ValueError, match="must be positive"):
+        batch_greedy(kernel(40, 0), budget=30, k=k, s=s)
+
+
 def test_balanced_partition_properties():
     rng = substream(0, "partitions")
     items = np.arange(23)
@@ -539,6 +548,43 @@ def test_sample_batches_full_batch_and_errors():
         sample_batches(remaining, k=0, s=5, rng=rng)
     with pytest.raises(ValueError):
         sample_batches(remaining, k=2, s=0, rng=rng)
+
+
+def test_sample_batches_subsets_are_jointly_uniform():
+    # per-item inclusion can be uniform while pairs and triples are not
+    n = 200_000
+    draws = sample_batches(np.arange(6), k=3, s=n, rng=substream(11, "batches"))
+    subsets, counts = np.unique(draws, axis=0, return_counts=True)
+    assert len(subsets) == comb(6, 3)
+    p = 1.0 / comb(6, 3)
+    sigma = np.sqrt(n * p * (1 - p))
+    assert np.abs(counts - n * p).max() <= 4.0 * sigma
+
+
+class _CountingRng:
+    """A Generator whose every method call adds the size of its result to ``drawn``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.drawn += np.size(out)
+            return out
+
+        return counted
+
+
+def test_sample_batches_draws_s_times_k_numbers_whatever_r():
+    for r in (20, 20_000):
+        rng = _CountingRng(substream(12, "batches"))
+        batches = sample_batches(np.arange(r), k=10, s=50, rng=rng)
+        assert batches.shape == (50, 10)
+        assert rng.drawn == 50 * 10
 
 
 def test_top_l_refine_full_width_is_exact_argmax():
