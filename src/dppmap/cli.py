@@ -358,7 +358,6 @@ def _selection_problem(selected, d):
 
 
 _SYNTHETIC_KEYS = ("dim", "seed", "beta1", "beta2", "shift")
-_SYNTHETIC_INTS = ("dim", "seed", "feature_dim")
 
 
 def _check_synthetic_types(syn):
@@ -371,7 +370,7 @@ def _check_synthetic_types(syn):
         value = syn.get(key)
         if key == "feature_dim" and value is None:
             continue
-        integer = key in _SYNTHETIC_INTS
+        integer = key in ("dim", "seed", "feature_dim")
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a real number"
             raise ValueError(f"kernel.synthetic {key} {value!r} is not {kind}")
