@@ -5,8 +5,10 @@ Subcommands: gen-kernel, solve, bench, sweep, variance, verify.  Exit codes:
 (non-positive-definite input, failed verification); a failing ``solve``
 names its solver in the message.
 
-``--threads`` is applied to the BLAS thread-count environment variables
-before numpy is imported, so the heavy imports happen inside the handlers.
+``--threads``, before or after the subcommand (the last one given wins), is
+applied to the BLAS thread-count environment variables before numpy is
+imported: nothing imports numpy until the arguments are parsed, and the heavy
+imports happen inside the handlers.
 """
 
 import argparse
@@ -16,20 +18,6 @@ import sys
 import time
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _apply_thread_flag(argv):
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-        else:
-            continue
-        if value.isdigit() and int(value) > 0:
-            for var in _THREAD_VARS:
-                os.environ[var] = value
-        return
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +61,20 @@ def _add_solver_flags(sub):
     sub.add_argument("--budget", type=int, default=None, help="maximum selection size")
 
 
+def _add_table_flags(sub, dim, seed):
+    """The flags ``bench`` and ``sweep`` share: kernel grid, solver, output."""
+    sub.add_argument("--dim", type=_int_list, default=(dim,),
+                     help="comma-separated kernel dimensions")
+    sub.add_argument("--seed", type=_int_list, default=(seed,), help="comma-separated seeds")
+    sub.add_argument("--beta1", type=float, default=0.01, help="quality log-slope")
+    sub.add_argument("--beta2", type=float, default=0.2, help="quality log-offset")
+    sub.add_argument("--shift", type=float, default=0.0, help="diagonal shift")
+    _add_solver_flags(sub)
+    sub.add_argument("--repeats", type=int, default=1, help="timing repetitions (median)")
+    sub.add_argument("--out", default=None, help="CSV output path")
+    sub.add_argument("--json", default=None, help="JSON output path")
+
+
 def _add_kernel_flags(sub, seed):
     sub.add_argument("--dim", type=int, default=None, help="synthetic kernel dimension")
     sub.add_argument("--seed", type=int, default=seed,
@@ -91,54 +93,37 @@ def build_parser():
                      description="Greedy MAP inference for determinantal point processes.")
     parser.add_argument("--threads", type=_thread_count, default=None,
                         help="BLAS thread count (applied before numpy loads)")
+    # also accepted after the subcommand; unset there, it keeps the top-level value
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--threads", type=_thread_count, default=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    gen = commands.add_parser("gen-kernel", parents=[], help="write a synthetic kernel file")
+    def command(name, summary):
+        return commands.add_parser(name, parents=[common], help=summary)
+
+    gen = command("gen-kernel", "write a synthetic kernel file")
     _add_kernel_flags(gen, seed)
     gen.add_argument("--out", required=True, help="output kernel path")
-    gen.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
-    solve = commands.add_parser("solve", help="run one solver on a kernel")
+    solve = command("solve", "run one solver on a kernel")
     _add_kernel_flags(solve, seed)
     solve.add_argument("--kernel", default=None, help="kernel file (binary or CSV)")
     solve.add_argument("--algo", default="lazy",
                        choices=["exact", "lazy", "alg1", "alg2", "brute"])
     _add_solver_flags(solve)
     solve.add_argument("--json", default=None, help="write the full result as JSON")
-    solve.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
-    bench = commands.add_parser("bench", help="timed comparison against the lazy baseline")
-    bench.add_argument("--dim", type=_int_list, default=(1000,),
-                       help="comma-separated kernel dimensions")
-    bench.add_argument("--seed", type=_int_list, default=(seed,),
-                       help="comma-separated seeds")
-    bench.add_argument("--algo", default="lazy,alg1,alg2",
-                       help="comma-separated algorithms")
-    bench.add_argument("--beta1", type=float, default=0.01)
-    bench.add_argument("--beta2", type=float, default=0.2)
-    bench.add_argument("--shift", type=float, default=0.0)
-    _add_solver_flags(bench)
-    bench.add_argument("--repeats", type=int, default=1, help="timing repetitions (median)")
-    bench.add_argument("--out", default=None, help="CSV output path")
-    bench.add_argument("--json", default=None, help="JSON output path")
-    bench.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
+    bench = command("bench", "timed comparison against the lazy baseline")
+    bench.add_argument("--algo", default="lazy,alg1,alg2", help="comma-separated algorithms")
+    _add_table_flags(bench, 1000, seed)
 
-    sweep = commands.add_parser("sweep", help="vary one solver parameter with paired seeds")
+    sweep = command("sweep", "vary one solver parameter with paired seeds")
     sweep.add_argument("parameter", choices=["p", "k"])
     sweep.add_argument("values", type=_int_list, help="comma-separated values")
-    sweep.add_argument("--dim", type=_int_list, default=(500,))
-    sweep.add_argument("--seed", type=_int_list, default=(seed,))
-    sweep.add_argument("--beta1", type=float, default=0.01)
-    sweep.add_argument("--beta2", type=float, default=0.2)
-    sweep.add_argument("--shift", type=float, default=0.0)
-    _add_solver_flags(sweep)
-    sweep.add_argument("--repeats", type=int, default=1)
-    sweep.add_argument("--out", default=None, help="CSV output path")
-    sweep.add_argument("--json", default=None, help="JSON output path")
-    sweep.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
+    _add_table_flags(sweep, 500, seed)
 
-    var = commands.add_parser("variance",
-                              help="shared vs independent probe variance study")
+    var = command("variance", "shared vs independent probe variance study")
     var.add_argument("trials", type=int, nargs="?", default=100)
     var.add_argument("--dim", type=int, default=40, help="matrix dimension per pair")
     var.add_argument("--seed", type=int, default=seed)
@@ -146,13 +131,11 @@ def build_parser():
     var.add_argument("--n", type=int, default=15, help="polynomial degree")
     var.add_argument("--repeats", type=int, default=200, help="draws per matrix pair")
     var.add_argument("--out", default=None, help="CSV output path")
-    var.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
-    verify = commands.add_parser("verify", help="recheck a saved solve result")
+    verify = command("verify", "recheck a saved solve result")
     verify.add_argument("result", help="JSON file produced by solve --json")
     verify.add_argument("--kernel", default=None,
                         help="kernel file (default: what the result records)")
-    verify.add_argument("--threads", type=_thread_count, default=None, help=argparse.SUPPRESS)
 
     return parser
 
@@ -285,8 +268,22 @@ def _bench_config(args, algorithms):
     )
 
 
+def _write_tables(rows, config, args):
+    """Write ``rows`` to the ``--out`` CSV and ``--json`` files asked for;
+    the exit code is 1 if any row failed."""
+    from .bench import write_rows_csv, write_rows_json
+
+    if args.out:
+        write_rows_csv(rows, args.out)
+        print(f"wrote {args.out}")
+    if args.json:
+        write_rows_json(rows, config, args.json)
+        print(f"wrote {args.json}")
+    return 1 if any(row.error for row in rows) else 0
+
+
 def _cmd_bench(args):
-    from .bench import run_comparison, write_rows_csv, write_rows_json
+    from .bench import run_comparison
 
     algorithms = tuple(a for a in args.algo.split(",") if a)
     config = _bench_config(args, algorithms)
@@ -295,18 +292,11 @@ def _cmd_bench(args):
                     "p": config.p, "k": config.k, "s": config.s, "ell": config.ell,
                     "shift": config.monotone_shift,
                     "repeats": config.repetitions})
-    rows = run_comparison(config, progress=_progress_printer)
-    if args.out:
-        write_rows_csv(rows, args.out)
-        print(f"wrote {args.out}")
-    if args.json:
-        write_rows_json(rows, config, args.json)
-        print(f"wrote {args.json}")
-    return 1 if any(row.error for row in rows) else 0
+    return _write_tables(run_comparison(config, progress=_progress_printer), config, args)
 
 
 def _cmd_sweep(args):
-    from .bench import parameter_sweep, write_rows_csv, write_rows_json
+    from .bench import parameter_sweep
 
     algo = "alg1" if args.parameter == "p" else "alg2"
     config = _bench_config(args, (algo,))
@@ -315,13 +305,7 @@ def _cmd_sweep(args):
                     "shift": config.monotone_shift})
     rows = parameter_sweep(config, args.parameter, list(args.values),
                            progress=_progress_printer)
-    if args.out:
-        write_rows_csv(rows, args.out)
-        print(f"wrote {args.out}")
-    if args.json:
-        write_rows_json(rows, config, args.json)
-        print(f"wrote {args.json}")
-    return 1 if any(row.error for row in rows) else 0
+    return _write_tables(rows, config, args)
 
 
 def _cmd_variance(args):
@@ -391,6 +375,10 @@ def _cmd_verify(args):
     if selected is None or stored is None:
         print("result file lacks 'selected'/'log_det'", file=sys.stderr)
         return 1
+    # NaN and infinities parse from JSON; a NaN difference passes any tolerance
+    if (isinstance(stored, bool) or not isinstance(stored, (int, float))
+            or not abs(stored) <= sys.float_info.max):
+        raise ValueError(f"log_det {stored!r} is not a finite number")
     if args.kernel:
         L = _load_any_kernel(args.kernel)
     else:
@@ -440,10 +428,10 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_flag(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.threads is not None:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(args.threads)
     try:
         return _HANDLERS[args.command](args)
     except SystemExit:

@@ -2,8 +2,8 @@
 
 All solvers maximize log det of the kernel restricted to the selected set.
 ``exact_greedy`` (the textbook reference) scores every candidate each step
-with a triangular solve against a maintained Cholesky factor
-(``GreedyState``).  Every other solver keeps a ``RowState`` instead:
+with a triangular solve against a maintained ``CholeskyFactor`` of L[X, X].
+Every other solver keeps a ``RowState`` instead:
 incremental factor rows of all items, one O(t·d) update per accepted item
 (one (k x t)(t x d) product per accepted k-batch), each item's exact gain
 the log of the Schur complement those rows already hold.  ``lazy_greedy``
@@ -46,7 +46,6 @@ from .linalg import cg_solve  # noqa: F401
 from .logdet import chebyshev_coefficients, rademacher_probes  # noqa: F401
 
 __all__ = [
-    "GreedyState",
     "RowState",
     "SelectionResult",
     "balanced_partition",
@@ -86,7 +85,7 @@ class SelectionResult:
     gains: list
     log_det: float
     exact_evals: int = 0
-    # No solver runs CG; these go with ROADMAP item 3's benchmark change.
+    # No solver runs CG; these go with ROADMAP item 1's benchmark change.
     cg_solves: int = 0
     cg_converged: int = 0
     stop_reason: str = ""
@@ -98,7 +97,7 @@ class SelectionResult:
 
 
 def _result(state, algorithm, stop_reason, **metrics):
-    """The ``SelectionResult`` of a ``GreedyState`` or ``RowState`` run."""
+    """The ``SelectionResult`` of a ``RowState`` run."""
     return SelectionResult(
         algorithm=algorithm,
         selected=list(state.selected),
@@ -108,42 +107,6 @@ def _result(state, algorithm, stop_reason, **metrics):
         stop_reason=stop_reason,
         metrics=metrics,
     )
-
-
-class GreedyState:
-    """``exact_greedy``'s reference state: order, factor, log det, remaining mask."""
-
-    def __init__(self, L, capacity=None):
-        d = L.shape[0]
-        cap = d if capacity is None else min(int(capacity), d)
-        self.L = L
-        self.selected = []
-        self.remaining = np.ones(d, dtype=bool)
-        self.factor = CholeskyFactor(cap)
-        self.gains = []
-        self.exact_evals = 0
-
-    @property
-    def size(self):
-        return len(self.selected)
-
-    @property
-    def log_det(self):
-        return self.factor.log_det
-
-    def remaining_indices(self):
-        return np.flatnonzero(self.remaining)
-
-    def add(self, i, border=None):
-        """Accept item ``i``; returns the exact extension gain."""
-        i = int(i)
-        if border is None:
-            border = self.L[self.selected, i] if self.size else None
-        g = self.factor.extend(border, float(self.L[i, i]))
-        self.selected.append(i)
-        self.remaining[i] = False
-        self.gains.append(g)
-        return g
 
 
 _PIVOT_FLOOR = np.sqrt(np.finfo(float).eps)
@@ -413,23 +376,28 @@ def exact_greedy(L, budget=None):
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
     cap = _check_budget(budget, d)
-    state = GreedyState(L, capacity=cap)
+    factor = CholeskyFactor(cap)
     diag = np.diag(L)
+    remaining = np.ones(d, dtype=bool)
+    selected = []
+    gains = []
+    evals = 0
     stop = "budget" if budget is not None else "exhausted"
-    while state.size < cap:
-        rest = state.remaining_indices()
-        if rest.size == 0:
-            stop = "exhausted"
-            break
-        borders = L[np.ix_(state.selected, rest)]
-        gains = state.factor.gain_many(borders, diag[rest])
-        state.exact_evals += int(rest.size)
-        j = int(np.argmax(gains))  # first maximum = smallest index
-        if not gains[j] > 0:
+    while len(selected) < cap:  # cap <= d, so items remain
+        rest = np.flatnonzero(remaining)
+        borders = L[np.ix_(selected, rest)]
+        cand = factor.gain_many(borders, diag[rest])
+        evals += int(rest.size)
+        j = int(np.argmax(cand))  # first maximum = smallest index
+        if not cand[j] > 0:
             stop = "nonpositive-gain"
             break
-        state.add(int(rest[j]), border=borders[:, j] if state.size else None)
-    return _result(state, "exact", stop)
+        i = int(rest[j])
+        gains.append(factor.extend(borders[:, j] if selected else None, float(L[i, i])))
+        selected.append(i)
+        remaining[i] = False
+    return SelectionResult(algorithm="exact", selected=selected, gains=gains,
+                           log_det=factor.log_det, exact_evals=evals, stop_reason=stop)
 
 
 def lazy_greedy(L, budget=None):
@@ -445,11 +413,8 @@ def lazy_greedy(L, budget=None):
     state = RowState(L, cap)
     schur = state.schur
     stop = "budget" if budget is not None else "exhausted"
-    while state.size < cap:
+    while state.size < cap:  # cap <= d, so items remain
         rest = np.flatnonzero(state.remaining)
-        if rest.size == 0:
-            stop = "exhausted"
-            break
         state.exact_evals += int(rest.size)
         i = int(rest[np.argmax(schur[rest])])  # first maximum = smallest index
         if not schur[i] > 1.0:  # log gain <= 0
@@ -606,11 +571,8 @@ def _first_order_greedy(algorithm, L, budget, p, ell, seed, k=None, s=None):
     batch_steps = 0
     single_steps = 0
     stop = "budget" if budget is not None else "exhausted"
-    while state.size < cap:
+    while state.size < cap:  # cap <= d, so items remain
         rest = np.flatnonzero(state.remaining)
-        if rest.size == 0:
-            stop = "exhausted"
-            break
         pool_b = est_b = None
         if k is not None and rest.size >= k and state.size + k <= cap:
             batches = sample_batches(rest, k, s, rng_batch)

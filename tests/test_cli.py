@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file round trips."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import sys
 
 import pytest
 
-from dppmap.bench import CSV_COLUMNS
-from dppmap.cli import main
+from dppmap.bench import CSV_COLUMNS, ExperimentConfig
+from dppmap.cli import build_parser, main
+from dppmap.greedy import batch_greedy, partitioned_greedy
 
 
 def run_cli(*args):
@@ -19,7 +21,8 @@ def run_cli(*args):
     )
 
 
-# Records the BLAS thread variable at the moment numpy is first imported.
+# Records the BLAS thread variable at the moment numpy is first imported by
+# ``main`` run on the probe's command-line arguments.
 _THREADS_PROBE = """
 import os, sys
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -36,18 +39,22 @@ class NumpyImportSpy:
 sys.meta_path.insert(0, NumpyImportSpy())
 import dppmap.cli
 print("numpy loaded by import:", "numpy" in sys.modules)
-code = dppmap.cli.main(["--threads", "1", "solve", "--dim", "8", "--budget", "2"])
+code = dppmap.cli.main(sys.argv[1:])
 print("exit", code, "threads at numpy import", NumpyImportSpy.seen[:1])
 """
 
 
 def test_threads_flag_is_applied_before_numpy_loads():
-    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE],
-                          capture_output=True, text=True, env=dict(os.environ))
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "numpy loaded by import: False"
-    assert lines[-1] == "exit 0 threads at numpy import ['1']"
+    # before or after the subcommand; given twice, the last value applies
+    for argv in (["--threads", "1", "solve", "--dim", "8", "--budget", "2"],
+                 ["solve", "--dim", "8", "--budget", "2", "--threads=1"],
+                 ["--threads", "2", "solve", "--dim", "8", "--threads", "1"]):
+        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE, *argv],
+                              capture_output=True, text=True, env=dict(os.environ))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "numpy loaded by import: False"
+        assert lines[-1] == "exit 0 threads at numpy import ['1']", argv
 
 
 def test_gen_solve_verify_chain(tmp_path):
@@ -94,6 +101,19 @@ def test_verify_rejects_bad_selected_ids(tmp_path, capsys, selected, message):
     capsys.readouterr()
     assert main(["verify", str(result)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log_det", [float("nan"), float("inf"), float("-inf"), "1.5", True],
+                         ids=["nan", "inf", "minus-inf", "string", "bool"])
+def test_verify_rejects_a_log_det_that_is_not_a_finite_number(tmp_path, capsys, log_det):
+    result = tmp_path / "result.json"
+    assert main(["solve", "--dim", "30", "--budget", "5", "--json", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    payload["log_det"] = log_det
+    result.write_text(json.dumps(payload))  # NaN and Infinity as JSON extensions
+    capsys.readouterr()
+    assert main(["verify", str(result)]) == 1
+    assert f"dppmap: error: log_det {log_det!r} is not a finite number" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_result_that_is_not_an_object(tmp_path, capsys):
@@ -156,6 +176,19 @@ def test_feature_dim_round_trips_through_gen_kernel_solve_and_verify(tmp_path):
     del payload["kernel"]["synthetic"]["feature_dim"]
     result.write_text(json.dumps(payload))
     assert main(["verify", str(result)]) == 2
+
+
+def test_solver_default_copies_match_the_solvers():
+    # the CLI flags and ExperimentConfig restate the solvers' defaults
+    alg1 = inspect.signature(partitioned_greedy).parameters
+    alg2 = inspect.signature(batch_greedy).parameters
+    assert [alg1["p"].default, alg1["ell"].default] == [alg2["p"].default, alg2["ell"].default]
+    defaults = {name: alg2[name].default for name in ("p", "k", "s", "ell")}
+    assert {name: getattr(ExperimentConfig(), name) for name in defaults} == defaults
+    parser = build_parser()
+    for argv in (["solve"], ["bench"], ["sweep", "p", "1"]):
+        args = parser.parse_args(argv)
+        assert {name: getattr(args, name) for name in defaults} == defaults, argv[0]
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

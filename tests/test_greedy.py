@@ -11,7 +11,6 @@ from scipy.linalg.lapack import dpotrf
 from dppmap._rng import substream
 from dppmap.greedy import (
     _PIVOT_FLOOR,
-    GreedyState,
     RowState,
     balanced_partition,
     batch_greedy,
@@ -191,18 +190,6 @@ def test_solvers_keep_invariants_on_adversarial_kernels(data):
         assert results["alg2"].metrics == results["alg1"].metrics
 
 
-def test_greedy_state_invariants():
-    L = kernel(15, 1)
-    state = GreedyState(L)
-    for i in (3, 8, 0):
-        state.add(i)
-    assert state.selected == [3, 8, 0]
-    assert not state.remaining[[3, 8, 0]].any()
-    assert state.remaining.sum() == 12
-    sub = L[np.ix_(state.selected, state.selected)]
-    assert abs(state.log_det - cholesky_logdet(sub)[0]) <= 1e-8
-
-
 def test_row_state_refuses_a_nonpositive_complement():
     L = np.ones((2, 2))
     state = RowState(L, 2)
@@ -220,31 +207,32 @@ def _close(a, b, tol):
 
 
 def _draw_kernel_and_prefix(d, data):
-    """A drawn synthetic kernel, its rank, its seed and a GreedyState on a
-    random prefix kept below the rank: a prefix that spans the rank leaves
-    complements that are zero up to rounding, so any comparison of gains
-    after it would compare noise."""
+    """A drawn synthetic kernel, its rank, its seed and a random prefix of
+    items, grown by a CholeskyFactor and kept below the rank: a prefix that
+    spans the rank leaves complements that are zero up to rounding, so any
+    comparison of gains after it would compare noise."""
     feature_dim = data.draw(st.integers(1, d))
     shift = data.draw(st.sampled_from([0.0, 1.01]))
     seed = data.draw(st.integers(0, 2**16))
     L = generate_synthetic_kernel(SyntheticConfig(
         dim=d, seed=seed, feature_dim=feature_dim, monotone_shift=shift))
-    ref = GreedyState(L)
+    factor = CholeskyFactor(d)
+    prefix = []
     rank = d if shift else feature_dim
     size = data.draw(st.integers(0, rank - 1))
     for i in substream(seed, "prefix").permutation(d):
-        if ref.size == size:
+        if len(prefix) == size:
             break
-        if np.isfinite(ref.factor.gain(L[ref.selected, i], L[i, i])):
-            ref.add(i)
-    return L, rank, seed, ref
+        if np.isfinite(factor.gain(L[prefix, i], L[i, i])):
+            factor.extend(L[prefix, i], L[i, i])
+            prefix.append(int(i))
+    return L, rank, seed, prefix
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(d=st.integers(2, 64), data=st.data())
 def test_row_state_add_batch_matches_single_adds(d, data):
-    L, rank, seed, ref = _draw_kernel_and_prefix(d, data)
-    prefix = ref.selected
+    L, rank, seed, prefix = _draw_kernel_and_prefix(d, data)
     split = data.draw(st.integers(0, len(prefix)))
     singles = RowState(L, d)
     for i in prefix:
@@ -265,7 +253,7 @@ def test_row_state_add_batch_matches_single_adds(d, data):
     # joint gains of batches of the remaining items, against the factor's;
     # a batch no larger than the rank left is generically nonsingular, and
     # an all-zero item makes every batch holding it singular exactly
-    rest = ref.remaining_indices()
+    rest = np.flatnonzero(singles.remaining)
     if not rest.size:
         return
     k = data.draw(st.integers(1, min(4, rest.size, rank - t)))
@@ -323,28 +311,27 @@ def test_balanced_partition_properties():
 
 
 def _rows_and_factor(L, prefix):
-    """A RowState and the reference GreedyState on the same selection."""
+    """A RowState on the selection ``prefix`` and the reference Cholesky
+    factor of L[prefix, prefix]."""
     rows = RowState(L, L.shape[0])
-    ref = GreedyState(L)
     for i in prefix:
         rows.add(i)
-        ref.add(i)
-    return rows, ref
+    return rows, CholeskyFactor.from_matrix(L[np.ix_(prefix, prefix)])
 
 
 def test_first_order_exact_for_singleton_partitions():
     L = kernel(18, 4)
-    state, ref = _rows_and_factor(L, (4, 9, 2))
-    rest = ref.remaining_indices()
+    state, factor = _rows_and_factor(L, (4, 9, 2))
+    rest = np.flatnonzero(state.remaining)
     part = [np.array([i]) for i in rest]
     cand, est, _ = first_order_gains(state, part)
     assert np.array_equal(cand, rest)
     for c, value in zip(cand, est):
-        exact = ref.factor.gain(L[ref.selected, c], L[c, c])
+        exact = factor.gain(L[[4, 9, 2], c], L[c, c])
         assert abs(value - exact) <= 1e-7
     # a singleton group has no deviation from its average, so even one CG
     # iteration leaves every estimate at the exact gain
-    exact = ref.factor.gain_many(L[np.ix_(ref.selected, rest)], np.diag(L)[rest])
+    exact = factor.gain_many(L[np.ix_([4, 9, 2], rest)], np.diag(L)[rest])
     _, capped, _ = first_order_gains(state, part, max_iter=1)
     assert np.abs(capped - exact).max() <= 1e-12
 
@@ -377,17 +364,15 @@ def test_first_order_costs_two_cg_runs_per_group():
 def test_first_order_never_underestimates_exact_gain(d, data):
     # log det is concave, so linearizing around a group's averaged kernel
     # over-estimates every member's exact gain
-    L, _, seed, ref = _draw_kernel_and_prefix(d, data)
-    rows = RowState(L, d)
-    for i in ref.selected:
-        rows.add(i)
+    L, _, seed, prefix = _draw_kernel_and_prefix(d, data)
+    rows, factor = _rows_and_factor(L, prefix)
     _, log_det = np.linalg.slogdet(L[np.ix_(rows.selected, rows.selected)])
     assert abs(rows.log_det - log_det) <= 1e-8 * max(1.0, abs(log_det))
-    rest = ref.remaining_indices()
+    rest = np.flatnonzero(rows.remaining)
     p = data.draw(st.integers(1, 5))
     part = balanced_partition(rest, p, substream(seed, "partitions"))
     cols, est, reports = first_order_gains(rows, part, max_iter=200)
-    exact = ref.factor.gain_many(L[np.ix_(ref.selected, cols)], np.diag(L)[cols])
+    exact = factor.gain_many(L[np.ix_(prefix, cols)], np.diag(L)[cols])
     slack = 1e-10 * np.maximum(1.0, np.where(np.isfinite(exact), np.abs(exact), 0.0))
     assert (est >= exact - slack).all()
     # the closed form from the rows is the value CG converges to
@@ -428,12 +413,10 @@ def _batch_oracle(L, prefix, pool, group):
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(d=st.integers(2, 40), data=st.data())
 def test_batch_first_order_matches_dense_oracle(d, data):
-    L, rank, seed, ref = _draw_kernel_and_prefix(d, data)
-    rows = RowState(L, d)
-    for i in ref.selected:
-        rows.add(i)
+    L, rank, seed, prefix = _draw_kernel_and_prefix(d, data)
+    rows, _ = _rows_and_factor(L, prefix)
     t = rows.size
-    rest = ref.remaining_indices()
+    rest = np.flatnonzero(rows.remaining)
     p = data.draw(st.integers(1, 5))
 
     # k = 1 batches of every item, grouped as the items are, are the singles
@@ -478,13 +461,12 @@ def test_first_order_error_shrinks_with_more_groups():
         L = kernel(300, seed)
         warm = exact_greedy(L, budget=10)
         for p in (1, 10):
-            state, ref = _rows_and_factor(L, warm.selected)
-            rest = ref.remaining_indices()
+            state, factor = _rows_and_factor(L, warm.selected)
+            rest = np.flatnonzero(state.remaining)
             part = balanced_partition(rest, p, substream(seed, f"groups-{p}"))
             cand, est, _ = first_order_gains(state, part)
-            borders = L[np.ix_(ref.selected, rest)]
-            exact = dict(zip(rest.tolist(),
-                             ref.factor.gain_many(borders, np.diag(L)[rest])))
+            borders = L[np.ix_(warm.selected, rest)]
+            exact = dict(zip(rest.tolist(), factor.gain_many(borders, np.diag(L)[rest])))
             errs[p].append(np.mean([abs(v - exact[c]) for c, v in zip(cand.tolist(), est)]))
     assert np.median(errs[10]) < np.median(errs[1])
 
@@ -589,12 +571,12 @@ def test_sample_batches_draws_s_times_k_numbers_whatever_r():
 
 def test_top_l_refine_full_width_is_exact_argmax():
     L = kernel(20, 11, shift=0.0)
-    state, ref = _rows_and_factor(L, (2, 13))
+    state, factor = _rows_and_factor(L, (2, 13))
     rest = np.flatnonzero(state.remaining)
     rng = substream(11, "noise")
     estimates = rng.standard_normal(rest.size)  # garbage: refinement must fix them
     gain, best = top_l_refine(state, rest.size, rest, estimates)
-    exact = {i: ref.factor.gain(L[ref.selected, i], L[i, i]) for i in rest}
+    exact = {i: factor.gain(L[[2, 13], i], L[i, i]) for i in rest}
     true_best = max(sorted(exact), key=lambda i: exact[i])
     assert best == true_best
     assert abs(gain - exact[true_best]) <= 1e-10
@@ -602,20 +584,20 @@ def test_top_l_refine_full_width_is_exact_argmax():
 
 def test_top_l_refine_ell_one_scores_single_leader():
     L = kernel(12, 12)
-    state, ref = _rows_and_factor(L, (0,))
+    state, factor = _rows_and_factor(L, (0,))
     gain, best = top_l_refine(state, 1, np.array([3, 7]), np.array([5.0, 1.0]))
     assert best == 3
-    assert abs(gain - ref.factor.gain(L[[0], 3], L[3, 3])) <= 1e-10
+    assert abs(gain - factor.gain(L[[0], 3], L[3, 3])) <= 1e-10
 
 
 def test_top_l_refine_scores_batches_exactly():
     L = kernel(14, 13)
-    state, ref = _rows_and_factor(L, (5,))
+    state, factor = _rows_and_factor(L, (5,))
     batch = (2, 9)
     gain, best = top_l_refine(state, 2, np.array([1]), np.array([-4.0]),
                               np.array([batch]), np.array([3.0]))
-    expected = ref.factor.gain_block_many(L[np.ix_([5], batch)][:, None, :],
-                                          L[np.ix_(batch, batch)][None])[0]
+    expected = factor.gain_block_many(L[np.ix_([5], batch)][:, None, :],
+                                      L[np.ix_(batch, batch)][None])[0]
     assert best == batch
     assert abs(gain - expected) <= 1e-10
 
