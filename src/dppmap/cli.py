@@ -373,7 +373,7 @@ def _cmd_verify(args):
     selected = payload.get("selected")
     stored = payload.get("log_det")
     if selected is None or stored is None:
-        print("result file lacks 'selected'/'log_det'", file=sys.stderr)
+        print("dppmap: error: result file lacks 'selected'/'log_det'", file=sys.stderr)
         return 1
     # NaN and infinities parse from JSON; a NaN difference passes any tolerance
     if (isinstance(stored, bool) or not isinstance(stored, (int, float))
@@ -383,6 +383,8 @@ def _cmd_verify(args):
         L = _load_any_kernel(args.kernel)
     else:
         info = payload.get("kernel", {})
+        if not isinstance(info, dict):
+            raise ValueError("kernel record is not a JSON object")
         if "kernel_file" in info:
             L = _load_any_kernel(info["kernel_file"])
         elif "synthetic" in info:

@@ -123,6 +123,26 @@ def test_verify_rejects_a_result_that_is_not_an_object(tmp_path, capsys):
     assert "dppmap: error: result file is not a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel", [5, "kernel_file", ["synthetic"]],
+                         ids=["int", "string", "list"])
+def test_verify_rejects_a_kernel_record_that_is_not_an_object(tmp_path, capsys, kernel):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"selected": [0], "log_det": 0.0, "kernel": kernel}))
+    assert main(["verify", str(result)]) == 1
+    assert "dppmap: error: kernel record is not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["selected", "log_det"])
+def test_verify_rejects_a_result_without_selected_or_log_det(tmp_path, capsys, missing):
+    payload = {"selected": [0], "log_det": 0.0}
+    del payload[missing]
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(payload))
+    assert main(["verify", str(result)]) == 1
+    assert ("dppmap: error: result file lacks 'selected'/'log_det'"
+            in capsys.readouterr().err)
+
+
 def test_verify_rejects_an_incomplete_synthetic_record(tmp_path, capsys):
     result = tmp_path / "result.json"
     assert main(["solve", "--dim", "20", "--budget", "3", "--json", str(result)]) == 0

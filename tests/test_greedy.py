@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
+from dppmap import greedy
 from dppmap._rng import substream
 from dppmap.greedy import (
     _PIVOT_FLOOR,
@@ -384,6 +385,40 @@ def test_first_order_never_underestimates_exact_gain(d, data):
         live = np.isfinite(est)
         assert (np.abs(row_est[live] - est[live])
                 <= 1e-8 * np.maximum(1.0, np.abs(est[live]))).all()
+
+
+def _sweep_three_rows_at_a_time(monkeypatch, d):
+    monkeypatch.setattr(greedy, "_SWEEP_BYTES", 3 * 8 * d)
+    monkeypatch.setattr(greedy, "_SWEEP_MIN_ROWS", 1)
+
+
+def test_first_order_blocked_sweep_matches_one_block(monkeypatch):
+    # at d=60 the default budget holds all 25 rows in one block; three rows
+    # a block sweeps them in nine blocks, the last one ragged
+    L = kernel(60, 2)
+    L[5, :] = 0.0  # complement 0: its singleton group prices -inf either way
+    L[:, 5] = 0.0
+    state, _ = _rows_and_factor(L, lazy_greedy(L, budget=25).selected)
+    assert state.size == 25
+    rest = np.setdiff1d(np.flatnonzero(state.remaining), [5])
+    groups = balanced_partition(rest, 4, substream(2, "partitions")) + [np.array([5])]
+    cand, est = state.first_order(groups)
+    _sweep_three_rows_at_a_time(monkeypatch, 60)
+    swept, swept_est = state.first_order(groups)
+    assert np.array_equal(swept, cand)
+    assert np.array_equal(np.isneginf(swept_est), np.isneginf(est))
+    assert np.isneginf(est).sum() == 1
+    live = np.isfinite(est)
+    assert _close(swept_est[live], est[live], 1e-12)
+
+
+def test_blocked_sweep_keeps_the_solvers_picks(monkeypatch):
+    L = kernel(200, 3)
+    alg1 = partitioned_greedy(L, 60, seed=1).selected
+    alg2 = batch_greedy(L, 60, seed=1).selected
+    _sweep_three_rows_at_a_time(monkeypatch, 200)
+    assert partitioned_greedy(L, 60, seed=1).selected == alg1
+    assert batch_greedy(L, 60, seed=1).selected == alg2
 
 
 def _batch_oracle(L, prefix, pool, group):
