@@ -32,6 +32,7 @@ from .logdet import (
     estimate_logdet,
     probe_variance_bound,
     rademacher_probes,
+    shared_probe_difference,
 )
 
 __all__ = [
@@ -278,9 +279,14 @@ def variance_study(trials=100, dim=40, draws=200, probe_count=20, degree=15,
 
     For each pair, ``draws`` repetitions estimate log det A - log det B
     twice: once with one probe set used for both matrices, once with two
-    independent sets.  Reports the empirical variances next to the analytic
-    shared-probe bound.
+    independent sets (A's estimate is reused from the shared pair).  Reports
+    the empirical variances next to the analytic shared-probe bound.  Needs
+    ``trials`` >= 1 and ``draws`` >= 2, since a variance takes two draws.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if draws < 2:
+        raise ValueError(f"draws must be at least 2 for a variance, got {draws}")
     expansion = chebyshev_coefficients(degree, delta)
     rng_pair = substream(seed, "variance-pairs")
     rng_probe = substream(seed, "probes")
@@ -293,11 +299,9 @@ def variance_study(trials=100, dim=40, draws=200, probe_count=20, degree=15,
         indep = np.empty(draws)
         for r in range(draws):
             probes = rademacher_probes(dim, probe_count, rng_probe)
-            shared[r] = (estimate_logdet(op_a, expansion, probes)
-                         - estimate_logdet(op_b, expansion, probes))
+            est_a, _, shared[r] = shared_probe_difference(op_a, op_b, expansion, probes)
             other = rademacher_probes(dim, probe_count, rng_probe)
-            indep[r] = (estimate_logdet(op_a, expansion, probes)
-                        - estimate_logdet(op_b, expansion, other))
+            indep[r] = est_a - estimate_logdet(op_b, expansion, other)
         fro = float(np.linalg.norm(a - b))
         reports.append(VarianceReport(
             trial=trial,

@@ -363,7 +363,7 @@ def _check_synthetic_types(syn):
 def _cmd_verify(args):
     import numpy as np
 
-    from .kernel import SyntheticConfig, generate_synthetic_kernel
+    from .kernel import SyntheticConfig, generate_synthetic_kernel, validate_kernel
     from .linalg import cholesky_logdet
 
     with open(args.result) as fh:
@@ -402,6 +402,7 @@ def _cmd_verify(args):
         else:
             print("no kernel recorded in result; pass --kernel", file=sys.stderr)
             return 1
+    validate_kernel(L)
     problem = _selection_problem(selected, L.shape[0])
     if problem:
         print(f"dppmap: error: {problem}", file=sys.stderr)

@@ -33,11 +33,16 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
 
 from ._rng import substream
-from .linalg import CholeskyFactor, border_average, bordered_inverse_columns
+from .linalg import (
+    CholeskyFactor,
+    _log_positive,
+    _logdet_pd_many,
+    border_average,
+    bordered_inverse_columns,
+    cholesky_logdet,
+)
 
 # Not called here: benchmark/tracing.py wraps these names in this module's
 # namespace, so they must stay importable from it.
@@ -122,40 +127,6 @@ _SWEEP_BYTES = 1 << 20
 _SWEEP_MIN_ROWS = 8
 
 
-def _logdet_pd(s):
-    """(log det, lower Cholesky factor) of a small matrix; (-inf, None) if not PD."""
-    c, info = dpotrf(s, lower=1)
-    if info != 0:
-        return -np.inf, None
-    return float(2.0 * np.sum(np.log(np.diag(c)))), c
-
-
-def _logdet_pd_many(stack, floors=None):
-    """``_logdet_pd`` over an (n, k, k) stack: (log dets, lower factors).
-
-    One LAPACK Cholesky factors the whole stack; only when it raises, because
-    some member is not positive definite, is each member factored on its own.
-    A member that is not PD, or (with ``floors``, an (n, k) array) whose
-    squared pivot at j is not above floors[:, j], gets log det -inf and the
-    identity as its factor.
-    """
-    bad = np.zeros(stack.shape[0], dtype=bool)
-    try:
-        factors = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        factors = np.empty_like(stack)
-        for b, s in enumerate(stack):
-            c = _logdet_pd(s)[1]
-            bad[b] = c is None
-            factors[b] = np.eye(s.shape[0]) if bad[b] else np.tril(c)
-    pivots = np.diagonal(factors, axis1=1, axis2=2)
-    if floors is not None:
-        bad |= ~(pivots**2 > floors).all(axis=1)
-    log_dets = 2.0 * np.log(pivots).sum(axis=1)
-    log_dets[bad] = -np.inf
-    return log_dets, factors
-
-
 class RowState:
     """Selection state kept as incremental Cholesky rows of every item.
 
@@ -226,13 +197,14 @@ class RowState:
         t = self.size
         R = self.rows[:t]
         rb = R[:, items]
-        g, c = _logdet_pd(self.L[np.ix_(items, items)] - rb.T @ rb)
-        if c is None:
+        try:
+            g, c = cholesky_logdet(self.L[np.ix_(items, items)] - rb.T @ rb)
+        except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"batch {items} at step {len(self.gains)}: Schur complement against "
-                f"{t} selected items is not positive definite")
+                f"{t} selected items is not positive definite") from exc
         self._grow(t + len(items))
-        e = solve_triangular(c, self.L[items] - rb.T @ R, lower=True, check_finite=False)
+        e = c.solve_lower(self.L[items] - rb.T @ R)
         self.rows[t : t + len(items)] = e
         self.schur -= np.einsum("kd,kd->d", e, e)
         self.selected.extend(items)
@@ -299,11 +271,7 @@ class RowState:
 
     def exact_gains(self, items):
         """Exact log gains of ``items``; -inf where the complement is not positive."""
-        s = self.schur[items]
-        out = np.full(s.shape, -np.inf)
-        pos = s > 0
-        out[pos] = np.log(s[pos])
-        return out
+        return _log_positive(self.schur[items])
 
     def first_order(self, groups):
         """``first_order_gains``' estimates in closed form from the rows.

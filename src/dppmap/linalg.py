@@ -1,9 +1,13 @@
 """Dense linear algebra for greedy log-determinant maximization.
 
 Provides an incrementally growing Cholesky factor (one row per accepted item)
-with the Schur-complement gains it prices, a conjugate-gradient solver for one
-right-hand side, and the one-column bordered kernel whose last inverse column
-the CG reference of the averaged first-order gain estimate solves for.
+with the Schur-complement gains it prices, the stacked log det
+``_logdet_pd_many`` of an (n, k, k) stack of small matrices, a
+conjugate-gradient solver for one right-hand side, and the one-column bordered
+kernel whose last inverse column the CG reference of the averaged first-order
+gain estimate solves for.  Every Cholesky log det in the package is taken
+here: by ``CholeskyFactor`` (``from_matrix``/``cholesky_logdet`` and
+``extend``) or by ``_logdet_pd_many``.
 """
 
 from dataclasses import dataclass
@@ -70,48 +74,31 @@ class CholeskyFactor:
         return solve_triangular(self.lower, b, lower=True, check_finite=False)
 
     def gain(self, border, corner):
-        """Schur gain log(corner - border^T A^-1 border); -inf if nonpositive."""
-        if self.order == 0:
-            return float(np.log(corner)) if corner > 0 else -np.inf
-        w = self.solve_lower(border)
-        s = corner - w @ w
-        return float(np.log(s)) if s > 0 else -np.inf
+        """``gain_many`` of one column: log(corner - border^T A^-1 border),
+        -inf if nonpositive.  ``border`` may be None at order 0."""
+        borders = None if border is None else np.asarray(border, dtype=float)[:, None]
+        return float(self.gain_many(borders, [corner])[0])
 
     def gain_many(self, borders, corners):
         """Vectorized ``gain`` over columns of ``borders`` (one dtrsm)."""
         corners = np.asarray(corners, dtype=float)
         if self.order == 0:
-            s = corners.copy()
-        else:
-            w = self.solve_lower(borders)
-            s = corners - np.einsum("ij,ij->j", w, w)
-        out = np.full(s.shape, -np.inf)
-        pos = s > 0
-        out[pos] = np.log(s[pos])
-        return out
+            return _log_positive(corners)
+        w = self.solve_lower(borders)
+        return _log_positive(corners - np.einsum("ij,ij->j", w, w))
 
     def gain_block_many(self, borders, corners):
         """Joint gains of appending each of nb k-column blocks, from one
-        triangular solve for all blocks.
+        triangular solve for all blocks and one ``_logdet_pd_many``.
 
         ``borders`` is (t, nb, k) with one border block per candidate,
         ``corners`` is (nb, k, k).  Returns an (nb,) array, -inf where a
         block's Schur complement is not positive definite.
         """
         corners = np.asarray(corners, dtype=float)
-        nb, k = corners.shape[0], corners.shape[1]
-        if self.order == 0:
-            schurs = corners
-        else:
-            borders = np.asarray(borders, dtype=float)
-            t = self.order
-            w = self.solve_lower(borders.reshape(t, nb * k)).reshape(t, nb, k)
-            schurs = corners - np.einsum("tbi,tbj->bij", w, w)
-        out = np.empty(nb)
-        for b in range(nb):
-            c, info = dpotrf(schurs[b], lower=1)
-            out[b] = -np.inf if info != 0 else 2.0 * np.sum(np.log(np.diag(c)))
-        return out
+        t, nb, k = self.order, *corners.shape[:2]
+        w = self.solve_lower(np.reshape(borders, (t, nb * k))).reshape(t, nb, k)
+        return _logdet_pd_many(corners - np.einsum("tbi,tbj->bij", w, w))[0]
 
     def extend(self, border, corner):
         """Append one row/column; returns the log-det gain of the extension."""
@@ -137,42 +124,61 @@ class CholeskyFactor:
         return g
 
     def extend_block(self, border, corner):
-        """Append a k-column block in one step.
+        """Append a k-column block: k ``extend`` calls with the columns of
+        ``border``/``corner``.  Returns the summed gain.
 
-        Equivalent to k successive ``extend`` calls with the columns of
-        ``border``/``corner`` (Cholesky factors are unique), but done with one
-        triangular solve and one small factorization.
+        If one of them raises, ``order`` and ``log_det`` are restored, so a
+        block that breaks positive definiteness leaves the factor as it was.
         """
         corner = np.asarray(corner, dtype=float)
-        k = corner.shape[0]
-        t = self.order
-        if t + k > self._buf.shape[0]:
-            raise ValueError("factor capacity exhausted")
-        if t:
-            w = self.solve_lower(border)
-            s = corner - w.T @ w
-        else:
-            w = None
-            s = corner
-        c, info = dpotrf(s, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                "block extension breaks positive definiteness "
-                f"(failing pivot {max(info - 1, 0)})"
-            )
-        if t:
-            self._buf[t : t + k, :t] = w.T
-        self._buf[t : t + k, t : t + k] = np.tril(c)
-        self.order = t + k
-        g = float(2.0 * np.sum(np.log(np.diag(c))))
-        self.log_det += g
-        return g
+        t, log_det = self.order, self.log_det
+        cols = np.vstack([border, corner]) if t else corner  # (t + k, k)
+        try:
+            return sum(self.extend(cols[: t + j, j], corner[j, j])
+                       for j in range(corner.shape[0]))
+        except Exception:
+            self.order, self.log_det = t, log_det
+            raise
 
 
 def cholesky_logdet(a):
     """Return (log det a, CholeskyFactor) for SPD ``a``; 0x0 input gives 0."""
     fac = CholeskyFactor.from_matrix(a)
     return fac.log_det, fac
+
+
+def _log_positive(s):
+    """log(s) where s > 0, -inf elsewhere (NaN included)."""
+    out = np.full(s.shape, -np.inf)
+    pos = s > 0
+    out[pos] = np.log(s[pos])
+    return out
+
+
+def _logdet_pd_many(stack, floors=None):
+    """Log dets and lower Cholesky factors of an (n, k, k) stack.
+
+    One LAPACK Cholesky factors the whole stack; only when it raises, because
+    some member is not positive definite, is each member factored on its own.
+    A member that is not PD, or (with ``floors``, an (n, k) array) whose
+    squared pivot at j is not above floors[:, j], gets log det -inf and the
+    identity as its factor.
+    """
+    bad = np.zeros(stack.shape[0], dtype=bool)
+    try:
+        factors = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(stack)
+        for b, s in enumerate(stack):
+            c, info = dpotrf(s, lower=1)
+            bad[b] = info != 0
+            factors[b] = np.eye(s.shape[0]) if bad[b] else np.tril(c)
+    pivots = np.diagonal(factors, axis1=1, axis2=2)
+    if floors is not None:
+        bad |= ~(pivots**2 > floors).all(axis=1)
+    log_dets = 2.0 * np.log(pivots).sum(axis=1)
+    log_dets[bad] = -np.inf
+    return log_dets, factors
 
 
 @dataclass

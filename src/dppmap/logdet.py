@@ -11,6 +11,7 @@ the matrices themselves.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from ._rng import substream
 
@@ -44,16 +45,8 @@ class ChebyshevExpansion:
     def evaluate(self, x):
         """Evaluate the interpolant at scalar or array ``x`` (original coords)."""
         x = np.asarray(x, dtype=float)
-        t = (2.0 * x - 1.0) / (1.0 - 2.0 * self.delta)
-        prev = np.ones_like(t)
-        out = self.coefficients[0] * prev
-        if self.degree >= 1:
-            cur = t
-            out = out + self.coefficients[1] * cur
-            for k in range(2, self.degree + 1):
-                prev, cur = cur, 2.0 * t * cur - prev
-                out = out + self.coefficients[k] * cur
-        return out if out.ndim else float(out)
+        out = chebval((2.0 * x - 1.0) / (1.0 - 2.0 * self.delta), self.coefficients)
+        return out if np.ndim(out) else float(out)
 
     def grid_error(self, npoints=1000):
         """Sup error against log on an endpoint-inclusive grid of the interval."""
@@ -64,27 +57,16 @@ class ChebyshevExpansion:
 def chebyshev_coefficients(degree, delta):
     """Interpolation coefficients of log at the n+1 Chebyshev nodes.
 
-    Node j is cos(pi (j + 1/2) / (n + 1)); c_0 is the plain node average of
-    log at the mapped nodes, and c_k for k >= 1 carries the usual factor 2.
+    The nodes are of the first kind, cos(pi (j + 1/2) / (n + 1)), in the
+    mapped argument; ``numpy.polynomial.chebyshev.chebinterpolate`` does the
+    interpolation.
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-    n = degree
-    j = np.arange(n + 1)
-    nodes = np.cos(np.pi * (j + 0.5) / (n + 1))
-    fx = np.log((1.0 - 2.0 * delta) / 2.0 * nodes + 0.5)
-    coeff = np.empty(n + 1)
-    coeff[0] = fx.sum() / (n + 1)
-    prev = np.ones_like(nodes)
-    cur = nodes.copy()
-    if n >= 1:
-        coeff[1] = 2.0 * (fx * cur).sum() / (n + 1)
-    for k in range(2, n + 1):
-        prev, cur = cur, 2.0 * nodes * cur - prev
-        coeff[k] = 2.0 * (fx * cur).sum() / (n + 1)
-    return ChebyshevExpansion(degree=n, delta=delta, coefficients=coeff)
+    coeff = chebinterpolate(lambda t: np.log((1.0 - 2.0 * delta) / 2.0 * t + 0.5), degree)
+    return ChebyshevExpansion(degree=degree, delta=delta, coefficients=coeff)
 
 
 def rademacher_probes(dim, count, rng):

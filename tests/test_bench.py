@@ -134,6 +134,12 @@ def test_variance_study_shared_probes_beat_independent():
     assert smaller >= 27
 
 
+@pytest.mark.parametrize("trials, draws", [(1, 1), (1, 0), (0, 10), (-1, 10)])
+def test_variance_study_rejects_too_few_trials_or_draws(trials, draws):
+    with pytest.raises(ValueError, match="trials must be positive|draws must be at least 2"):
+        variance_study(trials=trials, dim=8, draws=draws)
+
+
 def test_variance_study_identical_pair_has_zero_shared_variance(tmp_path):
     reports = variance_study(trials=3, dim=12, draws=40, probe_count=10,
                              degree=12, closeness=0.0, seed=1)

@@ -3,6 +3,7 @@
 import csv
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,25 @@ def test_verify_rejects_a_mistyped_synthetic_record(tmp_path, capsys, key, value
     capsys.readouterr()
     assert main(["verify", str(result)]) == 1
     assert f"dppmap: error: kernel.synthetic {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("2.0,nan,0.0\n0.0,3.0,0.0\n0.0,0.0,1.5\n", "kernel contains non-finite entries"),
+    ("2.0,0.0,5.0\n0.0,3.0,0.0\n0.0,0.0,1.5\n", "kernel is not symmetric at (0, 2)"),
+], ids=["nan-above-diagonal", "not-symmetric"])
+def test_verify_rejects_a_kernel_that_solve_rejects(tmp_path, capsys, rows, message):
+    # item 1 alone reads only L[1, 1] = 3, so without the kernel check the
+    # stored log det would verify
+    kernel = tmp_path / "kernel.csv"
+    kernel.write_text(rows)
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"selected": [1], "log_det": math.log(3.0),
+                                  "kernel": {"kernel_file": str(kernel)}}))
+    for argv in (["verify", str(result)], ["verify", str(result), "--kernel", str(kernel)],
+                 ["solve", "--kernel", str(kernel)]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert f"dppmap: error: {message}" in capsys.readouterr().err
 
 
 def test_feature_dim_round_trips_through_gen_kernel_solve_and_verify(tmp_path):
@@ -358,6 +378,15 @@ def test_variance_subcommand(tmp_path):
     with open(out_csv, newline="") as fh:
         records = list(csv.reader(fh))
     assert len(records) == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["variance", "2", "--dim", "8", "--repeats", "1"], "draws must be at least 2"),
+    (["variance", "0", "--dim", "8"], "trials must be positive"),
+], ids=["one-repeat", "no-trials"])
+def test_variance_subcommand_rejects_too_few_trials_or_repeats(capsys, argv, message):
+    assert main(argv) == 1
+    assert f"dppmap: error: {message}" in capsys.readouterr().err
 
 
 def test_numerical_failure_names_the_solver(monkeypatch, capsys):

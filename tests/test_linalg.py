@@ -81,10 +81,36 @@ def test_extend_block_matches_sequential():
     a = random_spd(9, substream(2, "spd"))
     block = CholeskyFactor.from_matrix(a[:6, :6], capacity=9)
     gain_blk = block.extend_block(a[:6, 6:], a[6:, 6:])
-    seq = CholeskyFactor.from_matrix(a[:6, :6], capacity=9)
-    gain_seq = sum(seq.extend(a[:t, t], a[t, t]) for t in range(6, 9))
-    assert abs(gain_blk - gain_seq) <= 1e-10
-    assert np.allclose(block.lower, seq.lower, atol=1e-10)
+    full = CholeskyFactor.from_matrix(a)
+    assert abs(gain_blk - (full.log_det - cholesky_logdet(a[:6, :6])[0])) <= 1e-10
+    assert abs(block.log_det - full.log_det) <= 1e-10
+    assert np.allclose(block.lower, full.lower, atol=1e-10)
+    empty = CholeskyFactor(3)
+    empty.extend_block(None, a[:3, :3])
+    assert np.allclose(empty.lower, CholeskyFactor.from_matrix(a[:3, :3]).lower, atol=1e-12)
+
+
+def test_failed_extend_block_leaves_the_factor_as_it_was():
+    a = random_spd(7, substream(7, "spd"))
+    fac = CholeskyFactor.from_matrix(a[:4, :4], capacity=7)
+    lower, log_det = fac.lower.copy(), fac.log_det
+    # the block's first column is valid, but its coupling to the second makes
+    # the 2 x 2 Schur complement indefinite
+    corner = a[4:6, 4:6].copy()
+    corner[0, 1] = corner[1, 0] = 10.0 * np.abs(a).max()
+    with pytest.raises(np.linalg.LinAlgError):
+        fac.extend_block(a[:4, 4:6], corner)
+    assert fac.order == 4
+    assert fac.log_det == log_det
+    assert np.array_equal(fac.lower, lower)
+    fac.extend(a[:4, 4], a[4, 4])
+    assert abs(fac.log_det - cholesky_logdet(a[:5, :5])[0]) <= 1e-10
+    assert np.allclose(fac.lower, CholeskyFactor.from_matrix(a[:5, :5]).lower, atol=1e-12)
+    # a block that overruns the capacity after its first column is undone too
+    full = CholeskyFactor.from_matrix(a[:5, :5], capacity=6)
+    with pytest.raises(ValueError, match="capacity"):
+        full.extend_block(a[:5, 5:], a[5:, 5:])
+    assert (full.order, full.log_det) == (5, fac.log_det)
 
 
 def test_gain_and_gain_many_agree():
@@ -95,6 +121,9 @@ def test_gain_and_gain_many_agree():
     many = fac.gain_many(borders, corners)
     for j in range(7):
         assert abs(many[j] - fac.gain(borders[:, j], corners[j])) <= 1e-12
+        both = [*range(5), 5 + j]
+        assert abs(many[j] - (cholesky_logdet(a[np.ix_(both, both)])[0] - fac.log_det)) <= 1e-10
+    assert CholeskyFactor(1).gain(None, 2.5) == np.log(2.5)
 
 
 def test_gain_reports_neg_inf_for_nonpositive_schur():
