@@ -7,9 +7,9 @@ lazy greedy keeps every item's row of the incremental Cholesky factor and
 updates all complements with one product per accepted item.
 The first-order solver prices every candidate by linearizing log det around
 its partition group's averaged bordered kernel, in closed form from the same
-rows, and re-scores the best few exactly.  The batch solver runs the same
-loop with a pool of sampled k-item blocks added, each priced from one k x k
-Cholesky of its group's averaged Schur complement.
+rows, and re-scores the best few exactly.  The batch solver runs lazy's loop
+with a pool of k-item blocks added, sampled from the items of largest gain
+and each priced exactly from the same rows.
 """
 
 import time
@@ -28,7 +28,7 @@ def main():
         ("exact", lambda: exact_greedy(L)),
         ("lazy", lambda: lazy_greedy(L)),
         ("first-order", lambda: partitioned_greedy(L, p=5, seed=0)),
-        ("batch", lambda: batch_greedy(L, p=5, k=10, s=50, seed=0)),
+        ("batch", lambda: batch_greedy(L, k=10, s=50, seed=0)),
     ]
 
     reference = None

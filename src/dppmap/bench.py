@@ -143,8 +143,7 @@ def solve_with(algo, L, config, seed=0):
         return partitioned_greedy(L, budget=config.budget, p=config.p,
                                   ell=config.ell, seed=seed)
     if algo == "alg2":
-        return batch_greedy(L, budget=config.budget, p=config.p, k=config.k,
-                            s=config.s, ell=config.ell, seed=seed)
+        return batch_greedy(L, budget=config.budget, k=config.k, s=config.s, seed=seed)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 
@@ -152,7 +151,7 @@ def _param_string(algo, config):
     if algo == "alg1":
         parts = [f"p={config.p}", f"ell={config.ell}"]
     elif algo == "alg2":
-        parts = [f"p={config.p}", f"k={config.k}", f"s={config.s}", f"ell={config.ell}"]
+        parts = [f"k={config.k}", f"s={config.s}"]
     else:
         parts = []
     if config.budget is not None:
@@ -281,10 +280,14 @@ def variance_study(trials=100, dim=40, draws=200, probe_count=20, degree=15,
     twice: once with one probe set used for both matrices, once with two
     independent sets (A's estimate is reused from the shared pair).  Reports
     the empirical variances next to the analytic shared-probe bound.  Needs
-    ``trials`` >= 1 and ``draws`` >= 2, since a variance takes two draws.
+    ``trials`` >= 1, ``draws`` >= 2, since a variance takes two draws, and
+    ``dim`` >= 2, since a 1-dimensional Rademacher probe squares to 1 and
+    leaves every estimate deterministic.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if dim < 2:
+        raise ValueError(f"dim must be at least 2 for a random probe, got {dim}")
     if draws < 2:
         raise ValueError(f"draws must be at least 2 for a variance, got {draws}")
     expansion = chebyshev_coefficients(degree, delta)

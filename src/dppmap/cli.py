@@ -54,10 +54,10 @@ def _thread_count(text):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--p", type=int, default=5, help="number of partition groups")
-    sub.add_argument("--k", type=int, default=10, help="batch size")
-    sub.add_argument("--s", type=int, default=50, help="batches sampled per iteration")
-    sub.add_argument("--ell", type=int, default=20, help="estimates re-scored exactly per pool")
+    sub.add_argument("--p", type=int, default=5, help="alg1: number of partition groups")
+    sub.add_argument("--k", type=int, default=10, help="alg2: batch size")
+    sub.add_argument("--s", type=int, default=50, help="alg2: batches sampled per iteration")
+    sub.add_argument("--ell", type=int, default=20, help="alg1: estimates re-scored exactly")
     sub.add_argument("--budget", type=int, default=None, help="maximum selection size")
 
 

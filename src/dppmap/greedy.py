@@ -6,26 +6,24 @@ with a triangular solve against a maintained ``CholeskyFactor`` of L[X, X].
 Every other solver keeps a ``RowState`` instead:
 incremental factor rows of all items, one O(t·d) update per accepted item
 (one (k x t)(t x d) product per accepted k-batch), each item's exact gain
-the log of the Schur complement those rows already hold.  ``lazy_greedy``
-takes the argmax of those gains and selects the same sequence as
-``exact_greedy``.
+the log of the Schur complement those rows already hold.
 
-``partitioned_greedy`` (alg1) and ``batch_greedy`` (alg2) run one
-first-order loop.  Each step it prices every candidate by a first-order
-expansion around a partition-averaged bordered kernel, in closed form from
-the rows (``RowState.first_order``), re-scores the top ``ell`` exactly
-(``top_l_refine``) and accepts the best.  alg2 adds a pool of sampled
-k-batches, priced the same way from one k x k Cholesky per group
-(``RowState.batch_first_order``) and re-scored by their joint gains
-(``RowState.batch_gains``).  Both work on the pool as stacked arrays, with
-one batched LAPACK Cholesky per call and no Python loop over batches or
-groups.  Once the rows are kept an exact gain costs O(1) per candidate and
-an estimate O(t), so alg1 pays lazy's row update plus two p-row products
-over the rows, taken in one cache-blocked sweep, and cannot beat lazy; the
-paper's saving exists only where the rows are not kept.
-``first_order_gains`` is the CG form of the single-item estimate, one
-conjugate-gradient run per group, kept as the reference the closed form is
-tested against.
+``lazy_greedy`` takes the argmax of those gains each step and selects the
+same sequence as ``exact_greedy``.  ``batch_greedy`` (alg2) is the same loop
+plus a pool of k-batches: each step it draws ``s`` batches from the
+shortlist of the 3k items with the largest gains (``RowState.shortlist``),
+prices each exactly as the log det of its principal block of the
+shortlist's Schur complement, and accepts the best batch when it gains more
+than lazy's single pick.  ``partitioned_greedy`` (alg1) prices every
+candidate by a first-order expansion around a partition-averaged bordered
+kernel, in closed form from the rows (``RowState.first_order``), re-scores
+the top ``ell`` exactly (``top_l_refine``) and accepts the best.  Once the
+rows are kept an exact gain costs O(1) per candidate and an estimate O(t),
+so alg1 pays lazy's row update plus two p-row products over the rows, taken
+in one cache-blocked sweep, and cannot beat lazy; the paper's saving exists
+only where the rows are not kept.  ``first_order_gains`` is the CG form of
+the single-item estimate, one conjugate-gradient run per group, kept as the
+reference the closed form is tested against.
 Ties everywhere break toward the smallest item index (smallest batch).
 """
 import itertools
@@ -135,9 +133,9 @@ class RowState:
     every item's Schur complement against the selection, so an item's exact
     gain is the log of its complement and no factor of L[X, X] is kept.
     ``add`` appends one O(t·d) row and ``add_batch`` k rows at once; the row
-    buffer grows by doubling from 256 rows up to ``capacity``.  Both raise
-    LinAlgError naming the item (or batch) and the step when the complement
-    is not positive (definite).
+    buffer grows by doubling from 256 rows up to ``capacity``.  Both keep one
+    gain per accepted item and raise LinAlgError naming the item (or batch)
+    and the step when the complement is not positive (definite).
     """
 
     def __init__(self, L, capacity):
@@ -186,12 +184,13 @@ class RowState:
         return g
 
     def add_batch(self, items):
-        """Accept ``items`` jointly; returns the joint gain log det S.
+        """Accept ``items`` jointly, in order; returns the joint gain log det S.
 
         S = L[B, B] - R_B^T R_B is the batch's Schur complement, C its
         Cholesky factor, and the k new rows are C^-1 (L[B, :] - R_B^T R): one
         (k x t)(t x d) product, the same rows, complements and log det as k
-        calls to ``add``.
+        calls to ``add``.  Each item's gain, 2 log C[j, j], is its gain
+        conditioned on the items before it, so one gain is kept per item.
         """
         items = [int(i) for i in items]
         t = self.size
@@ -208,66 +207,24 @@ class RowState:
         self.rows[t : t + len(items)] = e
         self.schur -= np.einsum("kd,kd->d", e, e)
         self.selected.extend(items)
-        self.gains.append(g)
+        self.gains.extend((2.0 * np.log(np.diag(c.lower))).tolist())
         self.log_det += g
         self.remaining[items] = False
         return g
 
-    def batch_gains(self, batches):
-        """Joint gains log det(L[B, B] - R_B^T R_B) of the rows B of ``batches``.
+    def shortlist(self, m):
+        """The m remaining items of largest complement and their Schur complement.
 
-        -inf where that Schur complement is not positive definite, or where
-        the pivot of its Cholesky factor at item j is below sqrt(eps) L[j, j]:
-        the subtraction has then cancelled over half the digits of j's
-        complement, which is rounding noise when j depends on the rest of the
-        batch and the selection, and the joint gain would count log(noise).
-        The batch columns are gathered by one ``np.take`` and all batches are
-        factored by one stacked Cholesky.
+        Returns (top, S): ``top`` the min(m, remaining) remaining items with
+        the largest ``schur``, in id order (ties at the cut go to the smaller
+        id), and S = L[top, top] - R[:, top]^T R[:, top], their complement
+        against the selection.  Costs one partial sort of the remaining
+        complements, a t x m gather and one (m x t)(t x m) product.
         """
-        batches = np.asarray(batches, dtype=np.intp)
-        t = self.size
-        rb = np.take(self.rows[:t], batches.ravel(), axis=1).reshape(t, *batches.shape)
-        rt = rb.transpose(1, 2, 0)  # (n, k, t)
-        schurs = self.L[batches[:, :, None], batches[:, None, :]] - rt @ rt.transpose(0, 2, 1)
-        return _logdet_pd_many(schurs, _PIVOT_FLOOR * self.diag[batches])[0]
-
-    def batch_first_order(self, batches, groups):
-        """The k-column form of ``first_order``: first-order batch estimates.
-
-        ``batches`` is an (s, k) array of item batches and ``groups`` a list
-        of arrays of its row indices.  Returns (pool, estimates): the batches
-        in pool order (groups in order) and their estimates.  For a group let
-        W be the slot-wise mean of its R_B = R[:, B] (t x k), C the
-        symmetrized mean of its L[B, B] and S = C - W^T W, the Schur
-        complement of the averaged bordered kernel.  Batch B is priced
-
-            log det S + tr(S^-1 (L[B, B] - C)) - 2 tr(S^-1 W^T (R_B - W)),
-
-        the linearization of log det around the averaged kernel; a group
-        whose S is not positive definite is priced -inf.  The pool's rows are
-        gathered once, group means are sums over its contiguous group spans,
-        and all p groups' S are factored by one stacked Cholesky.
-        """
-        sizes = np.array([g.size for g in groups])
-        starts = np.cumsum(sizes) - sizes
-        owner = np.repeat(np.arange(sizes.size), sizes)
-        pool = batches[np.concatenate(groups)]
-        t = self.size
-        rb = np.take(self.rows[:t], pool.ravel(), axis=1).reshape(t, *pool.shape)
-        corners = self.L[pool[:, :, None], pool[:, None, :]]
-        w = np.add.reduceat(rb, starts, axis=1) / sizes[:, None]  # (t, p, k)
-        c = np.add.reduceat(corners, starts, axis=0) / sizes[:, None, None]
-        c = (c + c.transpose(0, 2, 1)) / 2.0
-        wt = w.transpose(1, 2, 0)  # (p, k, t)
-        log_det, factors = _logdet_pd_many(c - wt @ wt.transpose(0, 2, 1))
-        half = np.linalg.inv(factors)
-        inv = half.transpose(0, 2, 1) @ half  # S^-1 per group
-        v = (w.transpose(1, 0, 2) @ inv).transpose(1, 0, 2)  # W S^-1, (t, p, k)
-        vw = np.einsum("tgj,tgj->g", v, w)
-        cross = np.einsum("tbj,tbj->b", np.repeat(v, sizes, axis=1), rb)
-        est = (log_det[owner] + np.einsum("bij,bij->b", inv[owner], corners - c[owner])
-               - 2.0 * (cross - vw[owner]))
-        return pool, est
+        rest = np.flatnonzero(self.remaining)
+        top = np.sort(rest[_top_cut(self.schur[rest], m)])
+        rt = self.rows[: self.size, top]
+        return top, self.L[np.ix_(top, top)] - rt.T @ rt
 
     def exact_gains(self, items):
         """Exact log gains of ``items``; -inf where the complement is not positive."""
@@ -388,18 +345,37 @@ def exact_greedy(L, budget=None):
                            log_det=factor.log_det, exact_evals=evals, stop_reason=stop)
 
 
-def lazy_greedy(L, budget=None):
-    """Exact greedy over incremental Cholesky rows (Chen, Zhang & Zhou 2018).
+# alg2 draws its batches from the 3k items of largest gain.  Median log-det
+# ratios against lazy for shortlists of 2k / 3k / 4k / 6k items were
+# 0.9998 / 0.9992 / 0.9992 / 0.9991 on five d=2000 natural kernels and
+# 0.9924 / 0.9916 / 0.9911 / 0.9872 on twenty d=500 kernels at budget 30.
+_SHORTLIST_PER_BATCH_ITEM = 3
 
-    Keeps every item's row of the factor and its Schur complement in a
-    ``RowState``, so each step is an argmax over the complements and one
-    O(t·d) row update; no candidate is solved for.  Selects the same sequence
-    as ``exact_greedy``.
+
+def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
+    """The selection loop of lazy and, with a k-batch pool, alg2.
+
+    Each step takes the remaining item of largest complement (the smallest
+    id on ties) and stops when its gain is not positive.  With ``k`` set, it
+    then draws ``s`` k-batches by ``sample_batches`` from
+    ``RowState.shortlist`` of 3k items and prices each exactly, as the log
+    det of its principal block of the shortlist's complement S, all s by one
+    stacked Cholesky.  A batch is priced -inf where its pivot at item j is
+    not above sqrt(eps) L[j, j]: the subtraction has then cancelled over half
+    the digits of j's complement, which is rounding noise when j depends on
+    the rest of the batch and the selection.  The best batch, the
+    lexicographically smallest on ties, is accepted when it gains more than
+    the single item; otherwise the single item is.  The pool is skipped while
+    fewer than k items are left or a batch would overshoot the budget.
+    ``sample_batches`` is looked up in this module at call time, where
+    benchmark/tracing.py swaps in a timed wrapper.
     """
     L = np.asarray(L, dtype=float)
     cap = _check_budget(budget, L.shape[0])
     state = RowState(L, cap)
     schur = state.schur
+    rng = None if k is None else substream(seed, "batches")
+    batch_steps = single_steps = 0
     stop = "budget" if budget is not None else "exhausted"
     while state.size < cap:  # cap <= d, so items remain
         rest = np.flatnonzero(state.remaining)
@@ -408,8 +384,31 @@ def lazy_greedy(L, budget=None):
         if not schur[i] > 1.0:  # log gain <= 0
             stop = "nonpositive-gain"
             break
+        if k is not None and k <= rest.size and state.size + k <= cap:
+            top, S = state.shortlist(_SHORTLIST_PER_BATCH_ITEM * k)
+            pos = sample_batches(np.arange(top.size), k, s, rng)
+            gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]],
+                                    _PIVOT_FLOOR * state.diag[top[pos]])[0]
+            state.exact_evals += s
+            best = gains.max()
+            if best > np.log(schur[i]):
+                state.add_batch(top[list(min(map(tuple, pos[gains == best].tolist())))])
+                batch_steps += 1
+                continue
         state.add(i)
-    return _result(state, "lazy", stop)
+        single_steps += 1
+    return _result(state, algorithm, stop, batch_steps=batch_steps, single_steps=single_steps)
+
+
+def lazy_greedy(L, budget=None):
+    """Exact greedy over incremental Cholesky rows (Chen, Zhang & Zhou 2018).
+
+    Keeps every item's row of the factor and its Schur complement in a
+    ``RowState``, so each step is an argmax over the complements and one
+    O(t·d) row update; no candidate is solved for.  Selects the same sequence
+    as ``exact_greedy``.
+    """
+    return _row_greedy("lazy", L, budget)
 
 
 def sample_batches(remaining, k, s, rng):
@@ -486,103 +485,30 @@ def _top_cut(values, ell):
     return np.concatenate([above, np.flatnonzero(neg == kth)[: ell - above.size]])
 
 
-def top_l_refine(state, ell, items, estimates, batches=None, batch_estimates=None):
+def top_l_refine(state, ell, items, estimates):
     """Exactly re-score the ``ell`` highest estimates; returns (gain, winner).
 
-    ``items`` are item ids priced ``estimates``; ``batches`` is an optional
-    (s, k) array of item batches priced ``batch_estimates``.  The cut keeps
-    the ``ell`` highest of the item estimates followed by the batch
-    estimates, ties in that order, so singles go first on equal estimates;
-    it is taken by a partial sort.  Items are scored from the kept
-    complements, batches by ``RowState.batch_gains``.  The winner has the
-    highest exact gain; on ties a single beats a batch, then the smallest
-    item wins, then the lexicographically smallest batch.  When every gain
-    in the cut is -inf the winner is the item of ``items`` with the highest
-    exact gain, so a cut of dependent candidates does not end the run while
-    other items still gain.  The winner is an item id, or a batch as a tuple
-    of item ids.
+    ``items`` are item ids priced ``estimates``.  The cut keeps the ``ell``
+    highest estimates, ties in item order, taken by a partial sort; the kept
+    items are scored from the complements.  The winner has the highest exact
+    gain, the smallest item on ties.  When every gain in the cut is -inf the
+    winner is the item of ``items`` with the highest exact gain, so a cut of
+    dependent candidates does not end the run while other items still gain.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
     items = np.asarray(items, dtype=np.intp)
-    n = items.size
-    if n == 0 and batches is None:
-        raise ValueError("nothing to refine: no items and no batches")
-    values = estimates if batches is None else np.concatenate([estimates, batch_estimates])
-    top = _top_cut(values, ell)
-    state.exact_evals += int(top.size)
-    singles = items[top[top < n]]
+    if items.size == 0:
+        raise ValueError("nothing to refine: no items")
+    singles = items[_top_cut(estimates, ell)]
+    state.exact_evals += int(singles.size)
     gains = state.exact_gains(singles)
-    best = gains.max(initial=-np.inf)
-    if batches is not None and (top >= n).any():
-        chosen = batches[top[top >= n] - n]
-        batch_gains = state.batch_gains(chosen)
-        if batch_gains.max() > best or n == 0:
-            best = batch_gains.max()
-            return float(best), min(map(tuple, chosen[batch_gains == best].tolist()))
-    if best == -np.inf:
-        state.exact_evals += n
+    if gains.max() == -np.inf:
+        state.exact_evals += int(items.size)
         singles = items
         gains = state.exact_gains(items)
-        best = gains.max()
+    best = gains.max()
     return float(best), int(singles[gains == best].min())
-
-
-def _first_order_greedy(algorithm, L, budget, p, ell, seed, k=None, s=None):
-    """The selection loop of alg1 and, with a k-batch pool, alg2.
-
-    Each iteration partitions the remaining items into p random balanced
-    groups and prices them by ``RowState.first_order``.  With ``k`` set it
-    first samples ``s`` k-batches, partitions them into p groups and prices
-    them by ``RowState.batch_first_order``; that pool is skipped while fewer
-    than k items are left or a batch would overshoot the budget, but k and
-    ``s`` are checked on entry.  ``top_l_refine`` re-scores the top ``ell``
-    estimates over both pools and the best is accepted.  Stops when the
-    accepted gain is negative, at the budget, or when items run out.
-
-    Every item's exact gain is held anyway, so ``metrics["epsilon_hat"]``
-    reports the worst single-item estimate error seen over the run, beside
-    the counts of accepted batches and single items.  ``sample_batches``,
-    ``balanced_partition`` and ``top_l_refine`` are looked up in this module
-    at call time, where benchmark/tracing.py swaps in timed wrappers.
-    """
-    if ell < 1:
-        raise ValueError(f"ell must be positive, got {ell}")
-    if k is not None and (k < 1 or s < 1):
-        raise ValueError(f"batch size and count must be positive, got k={k}, s={s}")
-    L = np.asarray(L, dtype=float)
-    cap = _check_budget(budget, L.shape[0])
-    state = RowState(L, cap)
-    rng_part = substream(seed, "partitions")
-    rng_batch = substream(seed, "batches")
-    eps_hat = 0.0
-    batch_steps = 0
-    single_steps = 0
-    stop = "budget" if budget is not None else "exhausted"
-    while state.size < cap:  # cap <= d, so items remain
-        rest = np.flatnonzero(state.remaining)
-        pool_b = est_b = None
-        if k is not None and rest.size >= k and state.size + k <= cap:
-            batches = sample_batches(rest, k, s, rng_batch)
-            part_b = balanced_partition(np.arange(batches.shape[0]), p, rng_part)
-            pool_b, est_b = state.batch_first_order(batches, part_b)
-        cand, est = state.first_order(balanced_partition(rest, p, rng_part))
-        exact = state.exact_gains(cand)
-        seen = np.isfinite(est) & np.isfinite(exact)
-        if seen.any():
-            eps_hat = max(eps_hat, float(np.abs(est[seen] - exact[seen]).max()))
-        gain, best = top_l_refine(state, ell, cand, est, pool_b, est_b)
-        if gain < 0:
-            stop = "negative-gain"
-            break
-        if isinstance(best, tuple):
-            state.add_batch(best)
-            batch_steps += 1
-        else:
-            state.add(best)
-            single_steps += 1
-    return _result(state, algorithm, stop, epsilon_hat=eps_hat,
-                   batch_steps=batch_steps, single_steps=single_steps)
 
 
 def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
@@ -593,24 +519,49 @@ def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
     bordered kernel (``RowState.first_order``, in closed form from the kept
     factor rows), exactly re-scores the top ``ell`` estimates, and accepts the
     best; ties go to the smallest item index.  Stops when the accepted
-    candidate's exact gain turns negative, at the budget, or when candidates
-    run out.  ``metrics`` holds ``epsilon_hat``, the worst estimate error
-    seen, and ``batch_steps`` (always 0) and ``single_steps``.
+    candidate's exact gain is not positive, at the budget, or when candidates
+    run out.  Every item's exact gain is held anyway, so
+    ``metrics["epsilon_hat"]`` reports the worst estimate error seen.
+    ``balanced_partition`` and ``top_l_refine`` are looked up in this module
+    at call time, where benchmark/tracing.py swaps in timed wrappers.
     """
-    return _first_order_greedy("alg1", L, budget, p, ell, seed)
+    if ell < 1:
+        raise ValueError(f"ell must be positive, got {ell}")
+    L = np.asarray(L, dtype=float)
+    cap = _check_budget(budget, L.shape[0])
+    state = RowState(L, cap)
+    rng = substream(seed, "partitions")
+    eps_hat = 0.0
+    stop = "budget" if budget is not None else "exhausted"
+    while state.size < cap:  # cap <= d, so items remain
+        rest = np.flatnonzero(state.remaining)
+        cand, est = state.first_order(balanced_partition(rest, p, rng))
+        exact = state.exact_gains(cand)
+        seen = np.isfinite(est) & np.isfinite(exact)
+        if seen.any():
+            eps_hat = max(eps_hat, float(np.abs(est[seen] - exact[seen]).max()))
+        gain, best = top_l_refine(state, ell, cand, est)
+        if not gain > 0:
+            stop = "nonpositive-gain"
+            break
+        state.add(best)
+    return _result(state, "alg1", stop, epsilon_hat=eps_hat)
 
 
-def batch_greedy(L, budget=None, p=5, k=10, s=50, ell=20, seed=0):
-    """Stochastic batch greedy with first-order pricing of sampled k-batches.
+def batch_greedy(L, budget=None, k=10, s=50, seed=0):
+    """Stochastic batch greedy on the shortlist, with exactly priced batches.
 
-    ``partitioned_greedy`` plus a pool of ``s`` sampled k-batches each
-    iteration, partitioned into p groups and priced by linearizing log det
-    around each group's averaged bordered kernel (``RowState.
-    batch_first_order``, in closed form from the kept rows: one k x k
-    Cholesky per group).  The top ``ell`` estimates across both pools are
-    re-scored exactly from the rows and the best accepted, so late
-    iterations fall back to single items when whole batches stop paying.
-    The batch pool is skipped while fewer than k items are left or a batch
-    would overshoot the budget.  ``metrics`` is ``partitioned_greedy``'s.
+    ``lazy_greedy`` plus a pool of ``s`` k-batches each step, drawn
+    uniformly from the 3k remaining items of largest gain and priced by
+    their exact joint gains from the kept rows.  The best batch is accepted
+    when it gains more than lazy's single pick, so late steps fall back to
+    single items when whole batches stop paying.  This departs from Han et
+    al. (ICML 2017), who draw batches from all remaining items and price
+    them by a first-order estimate.  The pool is skipped while fewer than k
+    items are left or a batch would overshoot the budget.  Stops as lazy
+    does.  ``metrics`` counts ``batch_steps`` and ``single_steps``; ``gains``
+    holds one conditional gain per item.
     """
-    return _first_order_greedy("alg2", L, budget, p, ell, seed, k=k, s=s)
+    if k < 1 or s < 1:
+        raise ValueError(f"batch size and count must be positive, got k={k}, s={s}")
+    return _row_greedy("alg2", L, budget, k=k, s=s, seed=seed)

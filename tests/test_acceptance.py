@@ -258,7 +258,7 @@ def test_12_quality_trends_with_partition_and_batch_size():
     rows = parameter_sweep(config, "k", (1, 20))
     k_ratio = {value: float(np.median(
         [row.ratio for row in rows
-         if row.params == f"p=5;k={value};s=50;ell=20"]))
+         if row.params == f"k={value};s=50"]))
         for value in (1, 20)}
     print(f"median ratio at k=1: {k_ratio[1]:.4f}, at k=20: {k_ratio[20]:.4f} "
           f"(bigger batches may trade quality for speed)")

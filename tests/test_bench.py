@@ -134,10 +134,13 @@ def test_variance_study_shared_probes_beat_independent():
     assert smaller >= 27
 
 
-@pytest.mark.parametrize("trials, draws", [(1, 1), (1, 0), (0, 10), (-1, 10)])
-def test_variance_study_rejects_too_few_trials_or_draws(trials, draws):
-    with pytest.raises(ValueError, match="trials must be positive|draws must be at least 2"):
-        variance_study(trials=trials, dim=8, draws=draws)
+@pytest.mark.parametrize("trials, draws, dim", [
+    (1, 1, 8), (1, 0, 8), (0, 10, 8), (-1, 10, 8), (1, 10, 1),
+], ids=["1-1", "1-0", "0-10", "-1-10", "dim-1"])
+def test_variance_study_rejects_too_few_trials_or_draws(trials, draws, dim):
+    with pytest.raises(ValueError, match="trials must be positive|draws must be at least 2"
+                                         "|dim must be at least 2"):
+        variance_study(trials=trials, dim=dim, draws=draws)
 
 
 def test_variance_study_identical_pair_has_zero_shared_variance(tmp_path):

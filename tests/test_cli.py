@@ -222,8 +222,8 @@ def test_solver_default_copies_match_the_solvers():
     # the CLI flags and ExperimentConfig restate the solvers' defaults
     alg1 = inspect.signature(partitioned_greedy).parameters
     alg2 = inspect.signature(batch_greedy).parameters
-    assert [alg1["p"].default, alg1["ell"].default] == [alg2["p"].default, alg2["ell"].default]
-    defaults = {name: alg2[name].default for name in ("p", "k", "s", "ell")}
+    defaults = {**{name: alg1[name].default for name in ("p", "ell")},
+                **{name: alg2[name].default for name in ("k", "s")}}
     assert {name: getattr(ExperimentConfig(), name) for name in defaults} == defaults
     parser = build_parser()
     for argv in (["solve"], ["bench"], ["sweep", "p", "1"]):
@@ -383,7 +383,8 @@ def test_variance_subcommand(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["variance", "2", "--dim", "8", "--repeats", "1"], "draws must be at least 2"),
     (["variance", "0", "--dim", "8"], "trials must be positive"),
-], ids=["one-repeat", "no-trials"])
+    (["variance", "2", "--dim", "1"], "dim must be at least 2"),
+], ids=["one-repeat", "no-trials", "dim-1"])
 def test_variance_subcommand_rejects_too_few_trials_or_repeats(capsys, argv, message):
     assert main(argv) == 1
     assert f"dppmap: error: {message}" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpotrf
 
 from dppmap import greedy
 from dppmap._rng import substream
@@ -127,15 +126,13 @@ def test_lazy_matches_exact_on_many_kernels():
         assert np.abs(np.subtract(lazy.gains, exact.gains)).max(initial=0.0) <= 1e-10
         assert abs(sum(lazy.gains) - lazy.log_det) <= 1e-8
         # singleton groups with ell = d re-score every candidate from the
-        # complements lazy reads, so alg1 makes lazy's picks; it stops on a
-        # gain below 0 where lazy stops on a complement not above 1, and no
-        # kernel here leaves a complement of exactly 1
+        # complements lazy reads, so alg1 makes lazy's picks and stops by
+        # lazy's rule
         d = L.shape[0]
         alg1 = partitioned_greedy(L, budget, p=d, ell=d)
         assert alg1.selected == lazy.selected
         assert alg1.gains == lazy.gains
-        stop = {"nonpositive-gain": "negative-gain"}.get(lazy.stop_reason, lazy.stop_reason)
-        assert alg1.stop_reason == stop
+        assert alg1.stop_reason == lazy.stop_reason
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -167,7 +164,7 @@ def test_solvers_keep_invariants_on_adversarial_kernels(data):
         "exact": lambda: exact_greedy(L, budget),
         "lazy": lambda: lazy_greedy(L, budget),
         "alg1": lambda: partitioned_greedy(L, budget, p=p, ell=ell, seed=seed),
-        "alg2": lambda: batch_greedy(L, budget, p=p, k=k, s=s, ell=ell, seed=seed),
+        "alg2": lambda: batch_greedy(L, budget, k=k, s=s, seed=seed),
     }
     if d <= 12:
         solvers["brute"] = lambda: brute_force_map(L, budget or d)
@@ -181,14 +178,14 @@ def test_solvers_keep_invariants_on_adversarial_kernels(data):
         fresh = cholesky_logdet(L[np.ix_(res.selected, res.selected)])[0]
         assert abs(res.log_det - fresh) <= 1e-8, name
         if name != "brute":
+            assert len(res.gains) == res.size, name
             assert abs(sum(res.gains) - fresh) <= 1e-8, name
     assert results["lazy"].selected == results["exact"].selected
     if k > d:
-        # with no batch pool alg2 is alg1, draw for draw
+        # with no batch pool alg2 is lazy
         assert results["alg2"].metrics["batch_steps"] == 0
-        assert results["alg2"].selected == results["alg1"].selected
-        assert results["alg2"].gains == results["alg1"].gains
-        assert results["alg2"].metrics == results["alg1"].metrics
+        for field in ("selected", "gains", "stop_reason"):
+            assert getattr(results["alg2"], field) == getattr(results["lazy"], field), field
 
 
 def test_row_state_refuses_a_nonpositive_complement():
@@ -263,17 +260,23 @@ def test_row_state_add_batch_matches_single_adds(d, data):
     assert _close(batched.rows[:t], singles.rows[:t], 1e-10)
     assert _close(batched.schur, singles.schur, 1e-10)
     assert _close(batched.log_det, singles.log_det, 1e-10)
+    # one conditional gain per item, in batch order
+    assert len(batched.gains) == t
+    assert _close(np.array(batched.gains), np.array(singles.gains), 1e-8)
     _, log_det = np.linalg.slogdet(L[np.ix_(prefix, prefix)])
     assert _close(batched.log_det, log_det, 1e-8)
 
-    # joint gains of batches of the remaining items, against the factor's;
-    # a batch no larger than the rank left is generically nonsingular, and
-    # an all-zero item makes every batch holding it singular exactly
+    # joint gains of batches of the remaining items, priced as alg2 prices
+    # them, from principal blocks of the shortlist's complement S (here the
+    # shortlist holds every remaining item), against the factor's; a batch
+    # no larger than the rank left is generically nonsingular, and an
+    # all-zero item makes every batch holding it singular exactly
     rest = np.flatnonzero(singles.remaining)
     if not rest.size:
         return
     k = data.draw(st.integers(1, min(4, rest.size, rank - t)))
-    batches = sample_batches(rest, k, 8, substream(seed, "batches"))
+    pos = sample_batches(np.arange(rest.size), k, 8, substream(seed, "batches"))
+    batches = rest[pos]
     zero = data.draw(st.sampled_from([None, *batches[0]]))
     if zero is not None:
         L = L.copy()
@@ -281,12 +284,49 @@ def test_row_state_add_batch_matches_single_adds(d, data):
         singles = RowState(L, d)
         for i in prefix:
             singles.add(i)
+    top, S = singles.shortlist(rest.size)
+    assert np.array_equal(top, rest)
     expected = np.array([_joint_gain(L, prefix, batch) for batch in batches])
-    gains = singles.batch_gains(batches)
+    gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]],
+                            _PIVOT_FLOOR * np.diag(L)[batches])[0]
     assert np.array_equal(np.isfinite(gains), np.isfinite(expected))
     assert zero is None or not np.isfinite(gains[0])
     live = np.isfinite(expected)
     assert _close(gains[live], expected[live], 1e-10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(d=st.integers(1, 40), data=st.data())
+def test_shortlist_matches_the_dense_oracle(d, data):
+    # a diagonal kernel of three distinct values keeps its complements tied
+    # exactly at the cut, a low-rank kernel is rank-deficient, and an
+    # all-zero item has complement 0
+    kind = data.draw(st.sampled_from(["ties", "low-rank", "zero"]))
+    seed = data.draw(st.integers(0, 2**16))
+    if kind == "ties":
+        L = np.diag(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=d, max_size=d)))
+    else:
+        feature_dim = data.draw(st.integers(1, d)) if kind == "low-rank" else None
+        L = generate_synthetic_kernel(SyntheticConfig(
+            dim=d, seed=seed, feature_dim=feature_dim, monotone_shift=0.0))
+        if kind == "zero":
+            z = data.draw(st.integers(0, d - 1))
+            L[z, :] = L[:, z] = 0.0
+    # a selection of well-conditioned pivots, so the dense solve is accurate
+    state = RowState(L, d)
+    for i in substream(seed, "prefix").permutation(d)[: data.draw(st.integers(0, d - 1))]:
+        if state.schur[i] > 1e-3 * L[i, i]:
+            state.add(i)
+    rest = np.flatnonzero(state.remaining)
+    m = data.draw(st.integers(1, rest.size + 2))
+    top, S = state.shortlist(m)
+    # the largest complements, the smaller id on ties, in id order
+    assert top.tolist() == sorted(sorted(rest.tolist(), key=lambda i: (-state.schur[i], i))[:m])
+    X = state.selected
+    oracle = L[np.ix_(top, top)]
+    if X:
+        oracle = oracle - L[np.ix_(top, X)] @ np.linalg.solve(L[np.ix_(X, X)], L[np.ix_(X, top)])
+    assert _close(S, oracle, 1e-8)
 
 
 def test_budget_validation():
@@ -428,79 +468,8 @@ def test_first_order_blocked_sweep_matches_one_block(monkeypatch):
 def test_blocked_sweep_keeps_the_solvers_picks(monkeypatch):
     L = kernel(200, 3)
     alg1 = partitioned_greedy(L, 60, seed=1).selected
-    alg2 = batch_greedy(L, 60, seed=1).selected
     _sweep_three_rows_at_a_time(monkeypatch, 200)
     assert partitioned_greedy(L, 60, seed=1).selected == alg1
-    assert batch_greedy(L, 60, seed=1).selected == alg2
-
-
-def _batch_oracle(L, prefix, pool, group):
-    """Dense first-order batch estimates of ``pool[group]``: slogdet of the
-    assembled averaged kernel minus that of L[X, X], plus the linear term
-    from the averaged kernel's explicit inverse; None if it is not PD."""
-    t = len(prefix)
-    k = pool.shape[1]
-    members = pool[group]
-    borders = [L[np.ix_(prefix, b)] for b in members]
-    corners = [L[np.ix_(b, b)] for b in members]
-    border = np.mean(borders, axis=0).reshape(t, k)
-    corner = np.mean(corners, axis=0)
-    corner = (corner + corner.T) / 2.0
-    base = L[np.ix_(prefix, prefix)]
-    full = np.block([[base, border], [border.T, corner]])
-    sign, log_det = np.linalg.slogdet(full)
-    if sign <= 0:
-        return None
-    gamma = log_det - (np.linalg.slogdet(base)[1] if t else 0.0)
-    z = np.linalg.inv(full)[:, t:]
-    z_bot = (z[t:] + z[t:].T) / 2.0
-    return np.array([gamma + 2.0 * np.sum(z[:t] * (b - border)) + np.sum(z_bot * (c - corner))
-                     for b, c in zip(borders, corners)])
-
-
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(d=st.integers(2, 40), data=st.data())
-def test_batch_first_order_matches_dense_oracle(d, data):
-    L, rank, seed, prefix = _draw_kernel_and_prefix(d, data)
-    rows, _ = _rows_and_factor(L, prefix)
-    t = rows.size
-    rest = np.flatnonzero(rows.remaining)
-    p = data.draw(st.integers(1, 5))
-
-    # k = 1 batches of every item, grouped as the items are, are the singles
-    items = balanced_partition(rest, p, substream(seed, "partitions"))
-    slots = [np.searchsorted(rest, g) for g in items]
-    pool, est = rows.batch_first_order(rest[:, None], slots)
-    cand, single = rows.first_order(items)
-    assert np.array_equal(pool[:, 0], cand)
-    assert np.array_equal(np.isfinite(est), np.isfinite(single))
-    live = np.isfinite(single)
-    assert _close(est[live], single[live], 1e-8)
-
-    # up to 12 batches of k items, drawn with repeats; no larger than the
-    # rank left, so each averaged kernel is generically nonsingular
-    k = data.draw(st.integers(1, min(4, rest.size, rank - t)))
-    distinct = sample_batches(rest, k, 6, substream(seed, "batches"))
-    picks = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
-    batches = distinct[picks]
-    part = balanced_partition(np.arange(len(picks)), p, substream(seed, "batch-groups"))
-    pool, est = rows.batch_first_order(batches, part)
-    assert np.array_equal(pool, batches[np.concatenate(part)])
-    # log det is concave: the linearization over-estimates every exact gain
-    exact = np.array([_joint_gain(L, rows.selected, batch) for batch in pool])
-    slack = 1e-10 * np.maximum(1.0, np.where(np.isfinite(exact), np.abs(exact), 0.0))
-    assert (est >= exact - slack).all()
-    start = 0
-    for g in part:
-        span = slice(start, start + g.size)
-        start += g.size
-        w = rows.rows[:t][:, pool[span]].mean(axis=1)
-        c = L[pool[span, :, None], pool[span, None, :]].mean(axis=0)
-        _, info = dpotrf((c + c.T) / 2.0 - w.T @ w, lower=1)
-        assert (np.isfinite(est[span]) == (info == 0)).all()
-        oracle = _batch_oracle(L, rows.selected, pool, np.arange(span.start, span.stop))
-        if info == 0:
-            assert _close(est[span], oracle, 1e-8)
 
 
 def test_first_order_error_shrinks_with_more_groups():
@@ -638,17 +607,6 @@ def test_top_l_refine_ell_one_scores_single_leader():
     assert abs(gain - factor.gain(L[[0], 3], L[3, 3])) <= 1e-10
 
 
-def test_top_l_refine_scores_batches_exactly():
-    L = kernel(14, 13)
-    state, factor = _rows_and_factor(L, (5,))
-    batch = (2, 9)
-    gain, best = top_l_refine(state, 2, np.array([1]), np.array([-4.0]),
-                              np.array([batch]), np.array([3.0]))
-    expected = _joint_gain(L, [5], batch)
-    assert best == batch
-    assert abs(gain - expected) <= 1e-10
-
-
 def test_top_l_refine_improves_with_wider_ell():
     lds = {1: [], 20: []}
     for seed in range(10):
@@ -659,29 +617,24 @@ def test_top_l_refine_improves_with_wider_ell():
 
 
 def test_top_l_refine_tie_rules():
-    # on the identity every item and every batch gains exactly 0
+    # on the identity every item gains exactly 0
     diag = np.ones(12)
     state = RowState(np.diag(diag), 12)
     items = np.array([9, 4, 3])
-    batches = np.array([[6, 7], [5, 8]])
-    # the smallest item, and the lexicographically smallest batch
+    # the smallest item
     assert top_l_refine(state, 3, items, np.zeros(3)) == (0.0, 3)
-    assert top_l_refine(state, 2, items[:0], np.zeros(0), batches, np.zeros(2))[1] == (5, 8)
-    # on equal exact gains a single beats a batch, whatever the estimates
-    assert top_l_refine(state, 5, items, np.zeros(3), batches, np.full(2, 9.0))[1] == 3
-    # the cut is a stable sort of the singles, then the batches: at ell = 2 it
-    # keeps items 4 and 9, so item 3 is never scored
-    estimates, batch_estimates = np.array([1.0, 2.0, 1.0]), np.array([1.0, 0.5])
+    # the cut is a stable sort of the estimates: at ell = 2 it keeps items 4
+    # and 9, so item 3 is never scored
+    estimates = np.array([1.0, 2.0, 1.0])
     evals = state.exact_evals
-    assert top_l_refine(state, 2, items, estimates, batches, batch_estimates)[1] == 4
+    assert top_l_refine(state, 2, items, estimates)[1] == 4
     assert state.exact_evals - evals == 2
-    # a higher exact gain beats every tie rule, but only once the cut keeps
-    # it: batch (6, 7) ties items 9 and 3 on its estimate and comes after them
-    diag[7] = 3.0
+    # a higher exact gain beats the tie rule, but only once the cut keeps it
+    diag[3] = 3.0
     state = RowState(np.diag(diag), 12)
-    assert top_l_refine(state, 3, items, estimates, batches, batch_estimates)[1] == 3
-    gain, best = top_l_refine(state, 4, items, estimates, batches, batch_estimates)
-    assert best == (6, 7)
+    assert top_l_refine(state, 2, items, estimates)[1] == 4
+    gain, best = top_l_refine(state, 3, items, estimates)
+    assert best == 3
     assert abs(gain - np.log(3.0)) <= 1e-15
 
 
@@ -693,8 +646,8 @@ def test_batch_greedy_monotone_selects_everything():
 
 def test_batch_greedy_deterministic_and_telescoping():
     L = kernel(60, 4, shift=0.0)
-    a = batch_greedy(L, p=2, k=5, s=20, seed=6)
-    b = batch_greedy(L, p=2, k=5, s=20, seed=6)
+    a = batch_greedy(L, k=5, s=20, seed=6)
+    b = batch_greedy(L, k=5, s=20, seed=6)
     assert a.selected == b.selected
     assert a.gains == b.gains
     assert a.metrics == b.metrics
@@ -705,9 +658,9 @@ def test_batch_greedy_deterministic_and_telescoping():
 
 def test_batch_greedy_respects_budget_with_batches():
     L = kernel(40, 5)
-    res = batch_greedy(L, budget=17, p=2, k=5, s=10, seed=1)
+    res = batch_greedy(L, budget=17, k=5, s=10, seed=1)
     assert res.size <= 17
-    assert res.stop_reason in ("budget", "negative-gain", "exhausted")
+    assert res.stop_reason in ("budget", "nonpositive-gain", "exhausted")
     # batches never overshoot the budget, so the size is a multiple of
     # accepted steps: check the counters add up
     steps = res.metrics["batch_steps"] * 5 + res.metrics["single_steps"]
@@ -724,21 +677,21 @@ def test_batch_greedy_refuses_a_batch_that_repeats_a_selected_direction():
         L[7, :] = L[13, :]
         L[:, 7] = L[:, 13]
         for k in (4, 8, 11, 13):
-            res = batch_greedy(L, p=1, k=k, s=1, ell=1, seed=0)
+            res = batch_greedy(L, k=k, s=1, seed=0)
             assert not {7, 13} <= set(res.selected)
             fresh = cholesky_logdet(L[np.ix_(res.selected, res.selected)])[0]
             assert abs(sum(res.gains) - fresh) <= 1e-8
 
 
 def test_a_refine_of_only_dependent_candidates_does_not_end_the_run():
-    # item 7 copies item 13, so the one sampled 13-batch holds both whenever
-    # it is drawn and prices -inf; at ell = 1 it fills the cut, which used to
-    # end the run with nothing selected.  The fallback takes the item of best
-    # exact gain instead, so alg2 reaches lazy's log det.
+    # item 7 copies item 13, so the one sampled 13-batch prices -inf
+    # whenever it holds both.  A pool of only such batches once ended the run
+    # with nothing selected; alg2 takes lazy's single pick instead, so it
+    # reaches lazy's log det.
     L = 50.0 * kernel(14, 1, shift=0.0)
     L[7, :] = L[13, :]
     L[:, 7] = L[:, 13]
-    res = batch_greedy(L, p=1, k=13, s=1, ell=1, seed=0)
+    res = batch_greedy(L, k=13, s=1, seed=0)
     lazy = lazy_greedy(L)
     assert res.size == lazy.size == 13
     assert abs(res.log_det - lazy.log_det) <= 1e-8
