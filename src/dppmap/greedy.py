@@ -365,8 +365,9 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     the digits of j's complement, which is rounding noise when j depends on
     the rest of the batch and the selection.  The best batch, the
     lexicographically smallest on ties, is accepted when it gains more than
-    the single item; otherwise the single item is.  The pool is skipped while
-    fewer than k items are left or a batch would overshoot the budget.
+    the single item; otherwise the single item is.  The pool is skipped once
+    a batch would overshoot the budget, and so while fewer than k items are
+    left.
     ``sample_batches`` is looked up in this module at call time, where
     benchmark/tracing.py swaps in a timed wrapper.
     """
@@ -384,7 +385,7 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
         if not schur[i] > 1.0:  # log gain <= 0
             stop = "nonpositive-gain"
             break
-        if k is not None and k <= rest.size and state.size + k <= cap:
+        if k is not None and state.size + k <= cap:  # cap <= d: k items remain
             top, S = state.shortlist(_SHORTLIST_PER_BATCH_ITEM * k)
             pos = sample_batches(np.arange(top.size), k, s, rng)
             gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]],
