@@ -27,8 +27,8 @@ def main():
     runs = [
         ("exact", lambda: exact_greedy(L)),
         ("lazy", lambda: lazy_greedy(L)),
-        ("first-order", lambda: partitioned_greedy(L, p=5, seed=0)),
-        ("batch", lambda: batch_greedy(L, k=10, s=50, seed=0)),
+        ("first-order", lambda: partitioned_greedy(L, seed=0)),
+        ("batch", lambda: batch_greedy(L, seed=0)),
     ]
 
     reference = None

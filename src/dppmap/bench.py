@@ -11,6 +11,7 @@ The lazy baseline is warmed up on each kernel before it is timed.
 """
 
 import csv
+import inspect
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -18,13 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._rng import substream
-from .greedy import (
-    batch_greedy,
-    brute_force_map,
-    exact_greedy,
-    lazy_greedy,
-    partitioned_greedy,
-)
+from .greedy import batch_greedy, brute_force_map, exact_greedy, lazy_greedy, partitioned_greedy
 from .kernel import SyntheticConfig, generate_synthetic_kernel
 from .logdet import (
     RescaledOperator,
@@ -39,7 +34,8 @@ __all__ = [
     "ExperimentConfig",
     "RunReport",
     "VarianceReport",
-    "ALGORITHMS",
+    "SOLVERS",
+    "SWEEPS",
     "solve_with",
     "run_comparison",
     "parameter_sweep",
@@ -49,7 +45,20 @@ __all__ = [
     "write_variance_csv",
 ]
 
-ALGORITHMS = ("exact", "lazy", "alg1", "alg2", "brute")
+# Each solver and the ExperimentConfig fields it takes, in ``params`` label
+# order.  The solvers that take fields are the randomized ones, run with a seed.
+SOLVERS = {
+    "exact": (exact_greedy, ()),
+    "lazy": (lazy_greedy, ()),
+    "alg1": (partitioned_greedy, ("p", "ell")),
+    "alg2": (batch_greedy, ("k", "s")),
+    "brute": (brute_force_map, ()),
+}
+# The field ``parameter_sweep`` can vary, and the solver it then runs.
+SWEEPS = {"p": "alg1", "k": "alg2"}
+# Every solver field's default is the one in its solver's signature.
+_DEFAULTS = {name: inspect.signature(solver).parameters[name].default
+             for solver, names in SOLVERS.values() for name in names}
 
 CSV_COLUMNS = (
     "algo", "seed", "d", "params", "set_size", "logdet",
@@ -61,22 +70,23 @@ _BASELINE_WARMUP_S = 0.25
 
 @dataclass
 class ExperimentConfig:
-    """Everything a comparison run needs; defaults match the solver defaults.
+    """Everything a comparison run needs; solver fields default as the solvers do.
 
-    Benchmark kernels default to no diagonal shift so runs exercise the
-    natural stopping rule instead of sweeping to the budget.
+    Kernel fields default as ``SyntheticConfig``'s, except that benchmark
+    kernels default to no diagonal shift so runs exercise the natural
+    stopping rule instead of sweeping to the budget.
     """
 
     dims: tuple = (1000,)
     seeds: tuple = (0,)
     algorithms: tuple = ("lazy", "alg1", "alg2")
     budget: int = None
-    p: int = 5
-    k: int = 10
-    s: int = 50
-    ell: int = 20
-    quality_slope: float = 0.01
-    quality_offset: float = 0.2
+    p: int = _DEFAULTS["p"]
+    k: int = _DEFAULTS["k"]
+    s: int = _DEFAULTS["s"]
+    ell: int = _DEFAULTS["ell"]
+    quality_slope: float = SyntheticConfig.quality_slope
+    quality_offset: float = SyntheticConfig.quality_offset
     monotone_shift: float = 0.0
     repetitions: int = 1
 
@@ -88,8 +98,7 @@ class ExperimentConfig:
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+            _check_algorithm(algo)
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
 
@@ -131,29 +140,23 @@ class VarianceReport:
     bound: float
 
 
+def _check_algorithm(algo):
+    if algo not in SOLVERS:
+        raise ValueError(f"unknown algorithm {algo!r}; choose from {tuple(SOLVERS)}")
+
+
 def solve_with(algo, L, config, seed=0):
-    """Dispatch one solver run under an ExperimentConfig."""
-    if algo == "exact":
-        return exact_greedy(L, config.budget)
-    if algo == "lazy":
-        return lazy_greedy(L, config.budget)
-    if algo == "brute":
-        return brute_force_map(L, config.budget if config.budget is not None else L.shape[0])
-    if algo == "alg1":
-        return partitioned_greedy(L, budget=config.budget, p=config.p,
-                                  ell=config.ell, seed=seed)
-    if algo == "alg2":
-        return batch_greedy(L, budget=config.budget, k=config.k, s=config.s, seed=seed)
-    raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    """Run solver ``algo`` on ``L`` with the config's budget and its own fields."""
+    _check_algorithm(algo)
+    solver, names = SOLVERS[algo]
+    params = {name: getattr(config, name) for name in names}
+    if names:
+        params["seed"] = seed
+    return solver(L, config.budget, **params)
 
 
 def _param_string(algo, config):
-    if algo == "alg1":
-        parts = [f"p={config.p}", f"ell={config.ell}"]
-    elif algo == "alg2":
-        parts = [f"k={config.k}", f"s={config.s}"]
-    else:
-        parts = []
+    parts = [f"{name}={getattr(config, name)}" for name in SOLVERS[algo][1]]
     if config.budget is not None:
         parts.append(f"budget={config.budget}")
     return ";".join(parts)
@@ -241,14 +244,16 @@ def run_comparison(config, progress=None):
 def parameter_sweep(config, parameter, values, progress=None):
     """Vary one solver parameter over ``values`` with paired seeds.
 
-    Sweeping ``p`` runs the partitioned solver, ``k`` the batch solver; every
+    ``parameter`` names a key of ``SWEEPS``, which gives the solver run:
+    sweeping ``p`` runs the partitioned solver, ``k`` the batch solver.  Every
     value reuses the same kernels and the same per-seed lazy baseline, so
-    rows are directly comparable across values.
+    rows are directly comparable across values.  Needs at least one value.
     """
-    if parameter not in ("p", "k"):
-        raise ValueError(f"can only sweep 'p' or 'k', got {parameter!r}")
-    algo = "alg1" if parameter == "p" else "alg2"
-    cells = [(algo, ExperimentConfig(**{**asdict(config), parameter: value}))
+    if parameter not in SWEEPS:
+        raise ValueError(f"can only sweep {' or '.join(map(repr, SWEEPS))}, got {parameter!r}")
+    if len(values) == 0:
+        raise ValueError("need at least one value to sweep")
+    cells = [(SWEEPS[parameter], ExperimentConfig(**{**asdict(config), parameter: value}))
              for value in values]
     return _paired_rows(config, cells, "", progress)
 

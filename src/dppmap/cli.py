@@ -53,38 +53,56 @@ def _thread_count(text):
     return value
 
 
+# Solver flags, in echo order.  Unset, each takes ExperimentConfig's default,
+# which for p, k, s and ell is the solver's own.
+_SOLVER_FLAGS = {
+    "budget": "maximum selection size",
+    "p": "alg1: number of partition groups",
+    "k": "alg2: batch size",
+    "s": "alg2: batches sampled per iteration",
+    "ell": "alg1: estimates re-scored exactly",
+}
+
+# Kernel flags, which are also the keys of a result file's synthetic record,
+# and the SyntheticConfig (and ExperimentConfig) fields they set.
+_KERNEL_FIELDS = {"beta1": "quality_slope", "beta2": "quality_offset", "shift": "monotone_shift"}
+
+
 def _add_solver_flags(sub):
-    sub.add_argument("--p", type=int, default=5, help="alg1: number of partition groups")
-    sub.add_argument("--k", type=int, default=10, help="alg2: batch size")
-    sub.add_argument("--s", type=int, default=50, help="alg2: batches sampled per iteration")
-    sub.add_argument("--ell", type=int, default=20, help="alg1: estimates re-scored exactly")
-    sub.add_argument("--budget", type=int, default=None, help="maximum selection size")
+    for name, text in _SOLVER_FLAGS.items():
+        sub.add_argument(f"--{name}", type=int, help=text)
+
+
+def _add_kernel_flags(sub, seed, grid_dim=None):
+    """The synthetic-kernel flags; unset, --beta1/--beta2/--shift take the config's default.
+
+    With ``grid_dim`` (bench, sweep), --dim and --seed take comma-separated
+    lists and --dim defaults to ``grid_dim``; without it they name one kernel,
+    which --feature-dim completes.
+    """
+    if grid_dim is None:
+        sub.add_argument("--dim", type=int, help="synthetic kernel dimension")
+        sub.add_argument("--seed", type=int, default=seed,
+                         help="RNG seed (env DPPMAP_SEED overrides the default)")
+        sub.add_argument("--feature-dim", type=int,
+                         help="synthetic feature dimension (default: the kernel dimension)")
+    else:
+        sub.add_argument("--dim", type=_int_list, default=(grid_dim,),
+                         help="comma-separated kernel dimensions")
+        sub.add_argument("--seed", type=_int_list, default=(seed,), help="comma-separated seeds")
+    sub.add_argument("--beta1", type=float, help="quality log-slope")
+    sub.add_argument("--beta2", type=float, help="quality log-offset")
+    sub.add_argument("--shift", type=float, help="diagonal shift (default: monotone for "
+                     "gen-kernel/solve, none for bench/sweep)")
 
 
 def _add_table_flags(sub, dim, seed):
     """The flags ``bench`` and ``sweep`` share: kernel grid, solver, output."""
-    sub.add_argument("--dim", type=_int_list, default=(dim,),
-                     help="comma-separated kernel dimensions")
-    sub.add_argument("--seed", type=_int_list, default=(seed,), help="comma-separated seeds")
-    sub.add_argument("--beta1", type=float, default=0.01, help="quality log-slope")
-    sub.add_argument("--beta2", type=float, default=0.2, help="quality log-offset")
-    sub.add_argument("--shift", type=float, default=0.0, help="diagonal shift")
+    _add_kernel_flags(sub, seed, dim)
     _add_solver_flags(sub)
     sub.add_argument("--repeats", type=int, default=1, help="timing repetitions (median)")
     sub.add_argument("--out", default=None, help="CSV output path")
     sub.add_argument("--json", default=None, help="JSON output path")
-
-
-def _add_kernel_flags(sub, seed):
-    sub.add_argument("--dim", type=int, default=None, help="synthetic kernel dimension")
-    sub.add_argument("--seed", type=int, default=seed,
-                     help="RNG seed (env DPPMAP_SEED overrides the default)")
-    sub.add_argument("--beta1", type=float, default=0.01, help="quality log-slope")
-    sub.add_argument("--beta2", type=float, default=0.2, help="quality log-offset")
-    sub.add_argument("--shift", type=float, default=None,
-                     help="diagonal shift (default 1.01 for gen-kernel/solve, 0 for bench/sweep)")
-    sub.add_argument("--feature-dim", type=int, default=None,
-                     help="synthetic feature dimension (default: the kernel dimension)")
 
 
 def build_parser():
@@ -150,21 +168,40 @@ def _load_any_kernel(path):
     return load_kernel_text(path)
 
 
-def _synthetic_config(args):
-    """The ``SyntheticConfig`` of the gen-kernel/solve kernel flags."""
+def _kernel_fields(values):
+    """The config fields of the kernel flags (or record keys) set in ``values``."""
+    return {field: values[key] for key, field in _KERNEL_FIELDS.items()
+            if values.get(key) is not None}
+
+
+def _synthetic_config(values):
+    """The ``SyntheticConfig`` of gen-kernel/solve's flags, given as ``vars(args)``,
+    or of a result file's ``synthetic`` record, which has the same keys."""
     from .kernel import SyntheticConfig
 
-    shift = args.shift if args.shift is not None else 1.01
-    return SyntheticConfig(dim=args.dim, seed=args.seed, quality_slope=args.beta1,
-                           quality_offset=args.beta2, monotone_shift=shift,
-                           feature_dim=args.feature_dim)
+    return SyntheticConfig(dim=values["dim"], seed=values["seed"],
+                           feature_dim=values.get("feature_dim"), **_kernel_fields(values))
 
 
 def _synthetic_record(cfg):
     """A ``SyntheticConfig`` as the ``synthetic`` record of a result file."""
-    return {"dim": cfg.dim, "seed": cfg.seed, "beta1": cfg.quality_slope,
-            "beta2": cfg.quality_offset, "shift": cfg.monotone_shift,
+    return {"dim": cfg.dim, "seed": cfg.seed,
+            **{key: getattr(cfg, field) for key, field in _KERNEL_FIELDS.items()},
             "feature_dim": cfg.feature_dim}
+
+
+def _experiment_config(args, **fields):
+    """The ``ExperimentConfig`` of ``fields`` and the solver flags set in ``args``."""
+    from .bench import ExperimentConfig
+
+    given = {name: getattr(args, name) for name in _SOLVER_FLAGS
+             if getattr(args, name) is not None}
+    return ExperimentConfig(**given, **fields)
+
+
+def _solver_params(config):
+    """The resolved solver flags of ``config``, in echo order."""
+    return {name: getattr(config, name) for name in _SOLVER_FLAGS}
 
 
 def _resolve_kernel(args):
@@ -176,7 +213,7 @@ def _resolve_kernel(args):
         return _load_any_kernel(kernel_path), {"kernel_file": kernel_path}
     if args.dim is None:
         raise SystemExit("dppmap: error: provide --kernel or --dim")
-    cfg = _synthetic_config(args)
+    cfg = _synthetic_config(vars(args))
     return generate_synthetic_kernel(cfg), {"synthetic": _synthetic_record(cfg)}
 
 
@@ -190,7 +227,7 @@ def _cmd_gen_kernel(args):
 
     if args.dim is None:
         raise SystemExit("dppmap: error: gen-kernel requires --dim")
-    cfg = _synthetic_config(args)
+    cfg = _synthetic_config(vars(args))
     _echo("gen-kernel", {**_synthetic_record(cfg), "out": args.out})
     save_kernel(args.out, generate_synthetic_kernel(cfg))
     print(f"wrote {args.out} (dim={cfg.dim})")
@@ -200,18 +237,15 @@ def _cmd_gen_kernel(args):
 def _cmd_solve(args):
     import numpy as np
 
-    from .bench import ExperimentConfig, solve_with
+    from .bench import solve_with
     from .kernel import validate_kernel
 
     L, provenance = _resolve_kernel(args)
     validate_kernel(L)
-    config = ExperimentConfig(
-        dims=(L.shape[0],), seeds=(args.seed,), algorithms=(args.algo,),
-        budget=args.budget, p=args.p, k=args.k, s=args.s, ell=args.ell,
-    )
-    _echo("solve", {"algo": args.algo, "d": L.shape[0], "seed": args.seed,
-                    "budget": args.budget, "p": args.p, "k": args.k, "s": args.s,
-                    "ell": args.ell, **_flat(provenance)})
+    config = _experiment_config(args, dims=(L.shape[0],), seeds=(args.seed,),
+                                algorithms=(args.algo,))
+    params = {"seed": args.seed, **_solver_params(config)}
+    _echo("solve", {"algo": args.algo, "d": L.shape[0], **params, **_flat(provenance)})
     start = time.perf_counter()
     try:
         result = solve_with(args.algo, L, config, seed=args.seed)
@@ -226,8 +260,7 @@ def _cmd_solve(args):
             "command": "solve",
             "algorithm": result.algorithm,
             "kernel": provenance,
-            "params": {"seed": args.seed, "budget": args.budget, "p": args.p,
-                       "k": args.k, "s": args.s, "ell": args.ell},
+            "params": params,
             "selected": result.selected,
             "gains": result.gains,
             "log_det": result.log_det,
@@ -258,14 +291,9 @@ def _progress_printer(row):
 
 
 def _bench_config(args, algorithms):
-    from .bench import ExperimentConfig
-
-    return ExperimentConfig(
-        dims=tuple(args.dim), seeds=tuple(args.seed), algorithms=algorithms,
-        budget=args.budget, p=args.p, k=args.k, s=args.s, ell=args.ell,
-        quality_slope=args.beta1, quality_offset=args.beta2,
-        monotone_shift=args.shift, repetitions=args.repeats,
-    )
+    return _experiment_config(args, dims=tuple(args.dim), seeds=tuple(args.seed),
+                              algorithms=algorithms, repetitions=args.repeats,
+                              **_kernel_fields(vars(args)))
 
 
 def _write_tables(rows, config, args):
@@ -288,18 +316,16 @@ def _cmd_bench(args):
     algorithms = tuple(a for a in args.algo.split(",") if a)
     config = _bench_config(args, algorithms)
     _echo("bench", {"dims": list(config.dims), "seeds": list(config.seeds),
-                    "algos": list(algorithms), "budget": config.budget,
-                    "p": config.p, "k": config.k, "s": config.s, "ell": config.ell,
+                    "algos": list(algorithms), **_solver_params(config),
                     "shift": config.monotone_shift,
                     "repeats": config.repetitions})
     return _write_tables(run_comparison(config, progress=_progress_printer), config, args)
 
 
 def _cmd_sweep(args):
-    from .bench import parameter_sweep
+    from .bench import SWEEPS, parameter_sweep
 
-    algo = "alg1" if args.parameter == "p" else "alg2"
-    config = _bench_config(args, (algo,))
+    config = _bench_config(args, (SWEEPS[args.parameter],))
     _echo("sweep", {"parameter": args.parameter, "values": list(args.values),
                     "dims": list(config.dims), "seeds": list(config.seeds),
                     "shift": config.monotone_shift})
@@ -341,7 +367,7 @@ def _selection_problem(selected, d):
     return None
 
 
-_SYNTHETIC_KEYS = ("dim", "seed", "beta1", "beta2", "shift")
+_SYNTHETIC_KEYS = ("dim", "seed", *_KERNEL_FIELDS)
 
 
 def _check_synthetic_types(syn):
@@ -354,7 +380,7 @@ def _check_synthetic_types(syn):
         value = syn.get(key)
         if key == "feature_dim" and value is None:
             continue
-        integer = key in ("dim", "seed", "feature_dim")
+        integer = key not in _KERNEL_FIELDS
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a real number"
             raise ValueError(f"kernel.synthetic {key} {value!r} is not {kind}")
@@ -363,7 +389,7 @@ def _check_synthetic_types(syn):
 def _cmd_verify(args):
     import numpy as np
 
-    from .kernel import SyntheticConfig, generate_synthetic_kernel, validate_kernel
+    from .kernel import generate_synthetic_kernel, validate_kernel
     from .linalg import cholesky_logdet
 
     with open(args.result) as fh:
@@ -395,10 +421,7 @@ def _cmd_verify(args):
             if missing:
                 raise ValueError(f"kernel.synthetic record lacks {', '.join(missing)}")
             _check_synthetic_types(syn)
-            L = generate_synthetic_kernel(SyntheticConfig(
-                dim=syn["dim"], seed=syn["seed"], quality_slope=syn["beta1"],
-                quality_offset=syn["beta2"], monotone_shift=syn["shift"],
-                feature_dim=syn.get("feature_dim")))
+            L = generate_synthetic_kernel(_synthetic_config(syn))
         else:
             print("no kernel recorded in result; pass --kernel", file=sys.stderr)
             return 1

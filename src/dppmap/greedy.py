@@ -285,9 +285,13 @@ def _check_budget(budget, d):
 def brute_force_map(L, budget):
     """Exact MAP over all subsets of size <= budget by enumeration.
 
-    Ties go to the set found first in size-then-lexicographic order (so the
-    empty set beats any zero-gain singleton).  Refuses enumerations larger
-    than ten million subsets.
+    Subsets are scored by ``slogdet``.  One that would become the best counts
+    only when its Cholesky factor exists, since a positive determinant alone
+    admits indefinite subsets of an indefinite kernel; the winner's per-item
+    gains, 2 log of its factor's diagonal, come from that factor.  Ties go to
+    the set found first in size-then-lexicographic order (so the empty set
+    beats any zero-gain singleton).  Refuses enumerations larger than ten
+    million subsets.
     """
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
@@ -297,19 +301,24 @@ def brute_force_map(L, budget):
         raise ValueError(
             f"enumeration of {total} subsets exceeds the limit {ENUMERATION_LIMIT}"
         )
-    best_ld = 0.0  # empty set
-    best = ()
+    best_ld, best, best_gains = 0.0, (), []  # the empty set
     evals = 0
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(d), size):
-            sign, ld = np.linalg.slogdet(L[np.ix_(combo, combo)])
+            sub = L[np.ix_(combo, combo)]
+            sign, ld = np.linalg.slogdet(sub)
             evals += 1
             if sign > 0 and ld > best_ld:
+                try:
+                    fac = cholesky_logdet(sub)[1]
+                except np.linalg.LinAlgError:
+                    continue
                 best_ld, best = ld, combo
+                best_gains = (2.0 * np.log(np.diag(fac.lower))).tolist()
     return SelectionResult(
         algorithm="brute",
         selected=list(best),
-        gains=[],
+        gains=best_gains,
         log_det=float(best_ld),
         exact_evals=evals,
         stop_reason="enumerated",

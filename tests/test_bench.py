@@ -98,6 +98,8 @@ def test_parameter_sweep_shapes_and_labels():
     assert sorted(row.params for row in swept) == ["p=1;ell=20"] * 2 + ["p=2;ell=20"] * 2
     with pytest.raises(ValueError):
         parameter_sweep(config, "m", (5, 10))
+    with pytest.raises(ValueError, match="need at least one value"):
+        parameter_sweep(config, "p", [])
 
 
 def test_writers_round_trip(tmp_path):

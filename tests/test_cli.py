@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file round trips."""
 
+import argparse
 import csv
 import inspect
 import json
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from dppmap.bench import CSV_COLUMNS, ExperimentConfig
+from dppmap.bench import CSV_COLUMNS, SOLVERS, SWEEPS, ExperimentConfig
 from dppmap.cli import build_parser, main
 from dppmap.greedy import batch_greedy, partitioned_greedy
 
@@ -218,17 +219,45 @@ def test_feature_dim_round_trips_through_gen_kernel_solve_and_verify(tmp_path):
     assert main(["verify", str(result)]) == 2
 
 
-def test_solver_default_copies_match_the_solvers():
-    # the CLI flags and ExperimentConfig restate the solvers' defaults
+def _resolved_configs(tmp_path, flags):
+    """The solver fields that solve, bench and sweep resolve from ``flags``,
+    read from their --json output."""
+    out = tmp_path / "out.json"
+    resolved = {}
+    for command in (["solve"], ["bench", "--algo", "lazy"], ["sweep", "p", "2"]):
+        argv = command + ["--dim", "12", "--budget", "3", *flags, "--json", str(out)]
+        assert main(argv) == 0, argv
+        payload = json.loads(out.read_text())
+        record = payload["params"] if command == ["solve"] else payload["config"]
+        resolved[command[0]] = {name: record[name] for name in ("p", "k", "s", "ell")}
+    return resolved
+
+
+def test_solver_default_copies_match_the_solvers(tmp_path):
+    # unset solver flags resolve, through ExperimentConfig, to the solvers' defaults
     alg1 = inspect.signature(partitioned_greedy).parameters
     alg2 = inspect.signature(batch_greedy).parameters
     defaults = {**{name: alg1[name].default for name in ("p", "ell")},
                 **{name: alg2[name].default for name in ("k", "s")}}
     assert {name: getattr(ExperimentConfig(), name) for name in defaults} == defaults
+    for command, resolved in _resolved_configs(tmp_path, []).items():
+        assert resolved == defaults, command
+    given = {"p": 3, "k": 4, "s": 9, "ell": 7}
+    flags = [part for name, value in given.items() for part in (f"--{name}", str(value))]
+    for command, resolved in _resolved_configs(tmp_path, flags).items():
+        assert resolved == given, command
+
+
+def _choices(parser, command, dest):
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(next(a for a in commands.choices[command]._actions if a.dest == dest).choices)
+
+
+def test_cli_choices_are_the_solver_table():
+    # the CLI restates them so that it parses before numpy is imported
     parser = build_parser()
-    for argv in (["solve"], ["bench"], ["sweep", "p", "1"]):
-        args = parser.parse_args(argv)
-        assert {name: getattr(args, name) for name in defaults} == defaults, argv[0]
+    assert _choices(parser, "solve", "algo") == list(SOLVERS)
+    assert _choices(parser, "sweep", "parameter") == list(SWEEPS)
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -269,13 +298,30 @@ def test_every_algorithm_solves(tmp_path):
         payload = json.loads(out.read_text())
         assert payload["command"] == "solve"
         assert payload["kernel"]["synthetic"]["dim"] == 12
-        assert len(payload["selected"]) <= 4
-        if algo != "brute":  # enumeration reports no per-step gains
-            assert len(payload["gains"]) >= 1
+        assert 1 <= len(payload["selected"]) <= 4
+        assert len(payload["gains"]) == len(payload["selected"])
         assert payload["stop_reason"]
         for key in ("log_det", "exact_evals", "ms"):
             assert key in payload
         assert not any(key.startswith("cg_") for key in payload)
+
+
+@pytest.mark.parametrize("diagonal, selected", [
+    ("-2.0,-2.0,0.5", []), ("-2.0,-2.0,3.0", [2]),
+], ids=["nothing-gains", "one-item-gains"])
+def test_brute_on_an_indefinite_kernel_selects_what_verifies(tmp_path, diagonal, selected):
+    # L[{0, 1}] has determinant 4 but is not positive definite
+    values = diagonal.split(",")
+    kernel = tmp_path / "kernel.csv"
+    kernel.write_text("".join(",".join(v if i == j else "0.0" for j in range(3)) + "\n"
+                              for i, v in enumerate(values)))
+    result = tmp_path / "result.json"
+    assert main(["solve", "--kernel", str(kernel), "--algo", "brute",
+                 "--json", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    assert payload["selected"] == selected
+    assert len(payload["gains"]) == len(selected)
+    assert main(["verify", str(result)]) == 0
 
 
 def test_solve_reads_csv_kernels(tmp_path):
@@ -359,6 +405,13 @@ def test_bench_subcommand_writes_outputs(tmp_path):
     payload = json.loads(out_json.read_text())
     assert payload["config"]["dims"] == [40]
     assert len(payload["rows"]) == 2
+
+
+def test_sweep_rejects_an_empty_value_list(capsys):
+    assert main(["sweep", "p", "", "--dim", "20"]) == 1
+    captured = capsys.readouterr()
+    assert "dppmap: error: need at least one value to sweep" in captured.err
+    assert "lazy" not in captured.out
 
 
 def test_sweep_subcommand(tmp_path):

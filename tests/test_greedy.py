@@ -36,6 +36,14 @@ def test_brute_force_diagonal():
     res = brute_force_map(np.diag([2.0, 3.0, 0.5]), budget=3)
     assert res.selected == [0, 1]
     assert abs(res.log_det - np.log(6.0)) <= 1e-12
+    assert np.allclose(res.gains, np.log([2.0, 3.0]), rtol=0, atol=1e-12)
+
+
+def test_brute_force_skips_indefinite_subsets_of_positive_determinant():
+    # L[{0, 1}] has determinant 4 but no Cholesky factor
+    res = brute_force_map(np.diag([-2.0, -2.0, 3.0]), budget=3)
+    assert res.selected == [2]
+    assert np.allclose(res.gains, [np.log(3.0)], rtol=0, atol=1e-12)
 
 
 def test_brute_force_identity_keeps_empty_set():
@@ -177,9 +185,8 @@ def test_solvers_keep_invariants_on_adversarial_kernels(data):
         assert len(set(res.selected)) == res.size, name
         fresh = cholesky_logdet(L[np.ix_(res.selected, res.selected)])[0]
         assert abs(res.log_det - fresh) <= 1e-8, name
-        if name != "brute":
-            assert len(res.gains) == res.size, name
-            assert abs(sum(res.gains) - fresh) <= 1e-8, name
+        assert len(res.gains) == res.size, name
+        assert abs(sum(res.gains) - fresh) <= 1e-8, name
     assert results["lazy"].selected == results["exact"].selected
     if k > d:
         # with no batch pool alg2 is lazy
