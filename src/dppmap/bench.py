@@ -14,12 +14,18 @@ import csv
 import inspect
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from ._rng import substream
-from .greedy import batch_greedy, brute_force_map, exact_greedy, lazy_greedy, partitioned_greedy
+from .greedy import (
+    batch_greedy,
+    brute_force_map,
+    exact_greedy,
+    lazy_greedy,
+    partitioned_greedy,
+)
 from .kernel import SyntheticConfig, generate_synthetic_kernel
 from .logdet import (
     RescaledOperator,
@@ -103,12 +109,11 @@ class ExperimentConfig:
             raise ValueError("repetitions must be positive")
 
     def kernel_config(self, dim, seed):
-        return SyntheticConfig(
-            dim=dim, seed=seed,
-            quality_slope=self.quality_slope,
-            quality_offset=self.quality_offset,
-            monotone_shift=self.monotone_shift,
-        )
+        """The ``SyntheticConfig`` of one kernel: ``dim``, ``seed`` and the
+        fields this config shares with it by name."""
+        shared = {f.name: getattr(self, f.name) for f in fields(SyntheticConfig)
+                  if hasattr(self, f.name)}
+        return SyntheticConfig(dim=dim, seed=seed, **shared)
 
 
 @dataclass

@@ -242,8 +242,7 @@ def _cmd_solve(args):
 
     L, provenance = _resolve_kernel(args)
     validate_kernel(L)
-    config = _experiment_config(args, dims=(L.shape[0],), seeds=(args.seed,),
-                                algorithms=(args.algo,))
+    config = _experiment_config(args)  # only its budget and solver fields are read
     params = {"seed": args.seed, **_solver_params(config)}
     _echo("solve", {"algo": args.algo, "d": L.shape[0], **params, **_flat(provenance)})
     start = time.perf_counter()
@@ -370,12 +369,19 @@ def _selection_problem(selected, d):
 _SYNTHETIC_KEYS = ("dim", "seed", *_KERNEL_FIELDS)
 
 
-def _check_synthetic_types(syn):
-    """Raise ValueError naming the first ``kernel.synthetic`` field of the wrong type.
+def _record_config(syn):
+    """The ``SyntheticConfig`` of a result file's ``kernel.synthetic`` record.
 
-    ``dim``, ``seed`` and ``feature_dim`` (when present and not null) must be
-    integers, the rest real numbers; a JSON true/false is neither.
+    Raises ValueError when the record is not an object, lacks a key, or holds
+    a value of the wrong type: ``dim``, ``seed`` and ``feature_dim`` (when
+    present and not null) must be integers, the rest real numbers; a JSON
+    true/false is neither.
     """
+    if not isinstance(syn, dict):
+        raise ValueError("kernel.synthetic record is not a JSON object")
+    missing = [key for key in _SYNTHETIC_KEYS if key not in syn]
+    if missing:
+        raise ValueError(f"kernel.synthetic record lacks {', '.join(missing)}")
     for key in _SYNTHETIC_KEYS + ("feature_dim",):
         value = syn.get(key)
         if key == "feature_dim" and value is None:
@@ -384,6 +390,7 @@ def _check_synthetic_types(syn):
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a real number"
             raise ValueError(f"kernel.synthetic {key} {value!r} is not {kind}")
+    return _synthetic_config(syn)
 
 
 def _cmd_verify(args):
@@ -414,14 +421,7 @@ def _cmd_verify(args):
         if "kernel_file" in info:
             L = _load_any_kernel(info["kernel_file"])
         elif "synthetic" in info:
-            syn = info["synthetic"]
-            if not isinstance(syn, dict):
-                raise ValueError("kernel.synthetic record is not a JSON object")
-            missing = [key for key in _SYNTHETIC_KEYS if key not in syn]
-            if missing:
-                raise ValueError(f"kernel.synthetic record lacks {', '.join(missing)}")
-            _check_synthetic_types(syn)
-            L = generate_synthetic_kernel(_synthetic_config(syn))
+            L = generate_synthetic_kernel(_record_config(info["synthetic"]))
         else:
             print("no kernel recorded in result; pass --kernel", file=sys.stderr)
             return 1

@@ -39,13 +39,6 @@ def test_brute_force_diagonal():
     assert np.allclose(res.gains, np.log([2.0, 3.0]), rtol=0, atol=1e-12)
 
 
-def test_brute_force_skips_indefinite_subsets_of_positive_determinant():
-    # L[{0, 1}] has determinant 4 but no Cholesky factor
-    res = brute_force_map(np.diag([-2.0, -2.0, 3.0]), budget=3)
-    assert res.selected == [2]
-    assert np.allclose(res.gains, [np.log(3.0)], rtol=0, atol=1e-12)
-
-
 def test_brute_force_identity_keeps_empty_set():
     res = brute_force_map(np.eye(4), budget=4)
     assert res.selected == []
