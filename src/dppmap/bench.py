@@ -78,6 +78,8 @@ _BASELINE_WARMUP_S = 0.25
 class ExperimentConfig:
     """Everything a comparison run needs; solver fields default as the solvers do.
 
+    ``budget`` (when set) and the solver fields must be positive.
+
     Kernel fields default as ``SyntheticConfig``'s, except that benchmark
     kernels default to no diagonal shift so runs exercise the natural
     stopping rule instead of sweeping to the budget.
@@ -107,6 +109,12 @@ class ExperimentConfig:
             _check_algorithm(algo)
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        counts = {name: getattr(self, name) for name in _DEFAULTS}
+        if self.budget is not None:
+            counts["budget"] = self.budget
+        for name, value in counts.items():
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     def kernel_config(self, dim, seed):
         """The ``SyntheticConfig`` of one kernel: ``dim``, ``seed`` and the

@@ -68,6 +68,17 @@ _SOLVER_FLAGS = {
 _KERNEL_FIELDS = {"beta1": "quality_slope", "beta2": "quality_offset", "shift": "monotone_shift"}
 
 
+# variance's count arguments, in echo order: the ``variance_study`` parameter
+# each sets, and its help.  Unset, each takes the function's own default.
+_VARIANCE_FLAGS = {
+    "trials": ("trials", "matrix pairs"),
+    "dim": ("dim", "matrix dimension per pair"),
+    "m": ("probe_count", "probe vectors per estimate"),
+    "n": ("degree", "polynomial degree"),
+    "repeats": ("draws", "draws per matrix pair"),
+}
+
+
 def _add_solver_flags(sub):
     for name, text in _SOLVER_FLAGS.items():
         sub.add_argument(f"--{name}", type=int, help=text)
@@ -142,12 +153,11 @@ def build_parser():
     _add_table_flags(sweep, 500, seed)
 
     var = command("variance", "shared vs independent probe variance study")
-    var.add_argument("trials", type=int, nargs="?", default=100)
-    var.add_argument("--dim", type=int, default=40, help="matrix dimension per pair")
+    var.add_argument("trials", type=int, nargs="?", help=_VARIANCE_FLAGS["trials"][1])
     var.add_argument("--seed", type=int, default=seed)
-    var.add_argument("--m", type=int, default=20, help="probe vectors per estimate")
-    var.add_argument("--n", type=int, default=15, help="polynomial degree")
-    var.add_argument("--repeats", type=int, default=200, help="draws per matrix pair")
+    for name, (_, text) in _VARIANCE_FLAGS.items():
+        if name != "trials":
+            var.add_argument(f"--{name}", type=int, help=text)
     var.add_argument("--out", default=None, help="CSV output path")
 
     verify = command("verify", "recheck a saved solve result")
@@ -324,6 +334,9 @@ def _cmd_bench(args):
 def _cmd_sweep(args):
     from .bench import SWEEPS, parameter_sweep
 
+    if getattr(args, args.parameter) is not None:
+        raise ValueError(f"--{args.parameter} is the swept parameter; "
+                         "give its values as the sweep's value list")
     config = _bench_config(args, (SWEEPS[args.parameter],))
     _echo("sweep", {"parameter": args.parameter, "values": list(args.values),
                     "dims": list(config.dims), "seeds": list(config.seeds),
@@ -334,12 +347,17 @@ def _cmd_sweep(args):
 
 
 def _cmd_variance(args):
+    import inspect
+
     from .bench import variance_study, write_variance_csv
 
-    _echo("variance", {"trials": args.trials, "dim": args.dim, "seed": args.seed,
-                       "probes": args.m, "degree": args.n, "draws": args.repeats})
-    reports = variance_study(trials=args.trials, dim=args.dim, draws=args.repeats,
-                             probe_count=args.m, degree=args.n, seed=args.seed)
+    defaults = inspect.signature(variance_study).parameters
+    kwargs = {param: defaults[param].default if getattr(args, flag) is None
+              else getattr(args, flag) for flag, (param, _) in _VARIANCE_FLAGS.items()}
+    _echo("variance", {"trials": kwargs["trials"], "dim": kwargs["dim"], "seed": args.seed,
+                       "probes": kwargs["probe_count"], "degree": kwargs["degree"],
+                       "draws": kwargs["draws"]})
+    reports = variance_study(**kwargs, seed=args.seed)
     within = sum(r.var_shared <= r.bound for r in reports)
     smaller = sum(r.var_shared < r.var_indep for r in reports)
     print(f"{within}/{len(reports)} trials within the analytic bound; "

@@ -9,15 +9,19 @@ incremental factor rows of all items, one O(t·d) update per accepted item
 the log of the Schur complement those rows already hold.
 
 ``lazy_greedy`` takes the argmax of those gains each step and selects the
-same sequence as ``exact_greedy``.  ``batch_greedy`` (alg2) is the same loop
-plus a pool of k-batches: each step it draws ``s`` batches from the
-shortlist of the 3k items with the largest gains (``RowState.shortlist``),
-prices each exactly as the log det of its principal block of the
-shortlist's Schur complement, and accepts the best batch when it gains more
-than lazy's single pick.  ``partitioned_greedy`` (alg1) prices every
-candidate by a first-order expansion around a partition-averaged bordered
-kernel, in closed form from the rows (``RowState.first_order``), re-scores
-the top ``ell`` exactly (``top_l_refine``) and accepts the best.  Once the
+same sequence as ``exact_greedy``; once the rows outgrow a cache it certifies
+several of exact greedy's next picks at a time from a shortlist (Minoux's
+accelerated-greedy bound: a complement never grows) and accepts them with
+one row-block update.  ``batch_greedy`` (alg2) is the same loop, without
+the certified blocks, plus a pool of k-batches: each step it draws ``s``
+batches from the shortlist of the 3k items with the largest gains
+(``RowState.shortlist``), prices each exactly as the log det of its
+principal block of the shortlist's Schur complement, and accepts the best
+batch when it gains more than lazy's single pick.  ``partitioned_greedy``
+(alg1) prices every candidate by a first-order expansion around a
+partition-averaged bordered kernel, in closed form from the rows
+(``RowState.first_order``), re-scores the top ``ell`` exactly
+(``top_l_refine``) and accepts the best.  Once the
 rows are kept an exact gain costs O(1) per candidate and an estimate O(t),
 so alg1 pays lazy's row update plus two p-row products over the rows, taken
 in one cache-blocked sweep, and cannot beat lazy; the paper's saving exists
@@ -215,16 +219,25 @@ class RowState:
     def shortlist(self, m):
         """The m remaining items of largest complement and their Schur complement.
 
-        Returns (top, S): ``top`` the min(m, remaining) remaining items with
-        the largest ``schur``, in id order (ties at the cut go to the smaller
-        id), and S = L[top, top] - R[:, top]^T R[:, top], their complement
-        against the selection.  Costs one partial sort of the remaining
-        complements, a t x m gather and one (m x t)(t x m) product.
+        Returns (top, S, bound): ``top`` the min(m, remaining) remaining items
+        with the largest ``schur``, in id order (ties at the cut go to the
+        smaller id); S = L[top, top] - R[:, top]^T R[:, top], their complement
+        against the selection; and ``bound``, the largest ``schur`` of the
+        remaining items outside ``top`` (-inf when none is outside).  A
+        complement never grows as the selection grows, so no item outside
+        ``top`` gains more than log ``bound`` until the next shortlist.  Costs
+        one partial sort of the remaining complements, a t x m gather and one
+        (m x t)(t x m) product.
         """
         rest = np.flatnonzero(self.remaining)
-        top = np.sort(rest[_top_cut(self.schur[rest], m)])
+        values = self.schur[rest]
+        cut = _top_cut(values, m)
+        outside = np.ones(rest.size, dtype=bool)
+        outside[cut] = False
+        top = np.sort(rest[cut])
         rt = self.rows[: self.size, top]
-        return top, self.L[np.ix_(top, top)] - rt.T @ rt
+        return top, self.L[np.ix_(top, top)] - rt.T @ rt, float(values.max(
+            where=outside, initial=-np.inf))
 
     def exact_gains(self, items):
         """Exact log gains of ``items``; -inf where the complement is not positive."""
@@ -359,13 +372,27 @@ def exact_greedy(L, budget=None):
 # 0.9998 / 0.9992 / 0.9992 / 0.9991 on five d=2000 natural kernels and
 # 0.9924 / 0.9916 / 0.9911 / 0.9872 on twenty d=500 kernels at budget 30.
 _SHORTLIST_PER_BATCH_ITEM = 3
+# lazy certifies its next picks from the 96 items of largest gain, and only
+# once the kept rows R (8·t·d bytes) outgrow 2 MiB, the L2 cache of the host
+# these were chosen on: below that one row update is cheaper than the
+# shortlist and its pivot loop.  On the benchmark's seed-0 kernels (one OpenBLAS thread),
+# lazy's median on natural-d2000 was 101 / 88 / 86-89 ms for shortlists of
+# 32 / 64 / 96 items and within 3% across 0.5, 1 and 2 MiB; on wide-d8000 it
+# was 49-50 / 44-45 / 42-44 ms; requests-d500 never reaches the threshold.
+_BLOCK_SHORTLIST = 96
+_BLOCK_BYTES = 2 << 20
 
 
 def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     """The selection loop of lazy and, with a k-batch pool, alg2.
 
     Each step takes the remaining item of largest complement (the smallest
-    id on ties) and stops when its gain is not positive.  With ``k`` set, it
+    id on ties) and stops when its gain is not positive.  Without ``k``
+    (lazy), once the kept rows fill ``_BLOCK_BYTES`` it first certifies a
+    prefix of exact greedy's next picks from ``RowState.shortlist`` of
+    ``_BLOCK_SHORTLIST`` items (``_certified_picks``) and, when the prefix
+    holds two or more, accepts it by one ``add_batch`` in pick order; a
+    shorter prefix, or smaller rows, take the single item.  With ``k`` set, it
     then draws ``s`` k-batches by ``sample_batches`` from
     ``RowState.shortlist`` of 3k items and prices each exactly, as the log
     det of its principal block of the shortlist's complement S, all s by one
@@ -381,11 +408,12 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     benchmark/tracing.py swaps in a timed wrapper.
     """
     L = np.asarray(L, dtype=float)
-    cap = _check_budget(budget, L.shape[0])
+    d = L.shape[0]
+    cap = _check_budget(budget, d)
     state = RowState(L, cap)
     schur = state.schur
     rng = None if k is None else substream(seed, "batches")
-    batch_steps = single_steps = 0
+    batch_steps = single_steps = blocks = block_items = 0
     stop = "budget" if budget is not None else "exhausted"
     while state.size < cap:  # cap <= d, so items remain
         rest = np.flatnonzero(state.remaining)
@@ -394,8 +422,16 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
         if not schur[i] > 1.0:  # log gain <= 0
             stop = "nonpositive-gain"
             break
-        if k is not None and state.size + k <= cap:  # cap <= d: k items remain
-            top, S = state.shortlist(_SHORTLIST_PER_BATCH_ITEM * k)
+        if k is None:
+            if 8 * state.size * d >= _BLOCK_BYTES:
+                picks = _certified_picks(state, _BLOCK_SHORTLIST, cap - state.size)
+                if len(picks) > 1:
+                    state.add_batch(picks)
+                    blocks += 1
+                    block_items += len(picks)
+                    continue
+        elif state.size + k <= cap:  # cap <= d: k items remain
+            top, S, _ = state.shortlist(_SHORTLIST_PER_BATCH_ITEM * k)
             pos = sample_batches(np.arange(top.size), k, s, rng)
             gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]],
                                     _PIVOT_FLOOR * state.diag[top[pos]])[0]
@@ -407,7 +443,38 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
                 continue
         state.add(i)
         single_steps += 1
+    if k is None:
+        return _result(state, algorithm, stop, certified_blocks=blocks,
+                       certified_items=block_items)
     return _result(state, algorithm, stop, batch_steps=batch_steps, single_steps=single_steps)
+
+
+def _certified_picks(state, m, room):
+    """Exact greedy's next picks, at most ``room``, certified from ``shortlist(m)``.
+
+    Greedy pivoted Cholesky on the shortlist's complement S: each pivot is
+    the item of largest conditional complement (the smallest id on ties),
+    kept while that complement is above both 1 (a positive log gain) and the
+    shortlist's ``bound``.  No item outside the shortlist can then gain as
+    much, so each kept pivot is the item exact greedy would pick next.
+    Returns the kept items in pick order.
+    """
+    top, S, bound = state.shortlist(m)
+    floor = max(bound, 1.0)
+    n = min(room, top.size)
+    left = np.diag(S).copy()  # conditional complements of the shortlist
+    cols = np.empty((n, top.size))  # row q: pivot q's column of S's factor
+    picks = []
+    for q in range(n):
+        j = int(np.argmax(left))  # top is in id order: ties go to the smaller id
+        c = left[j]
+        if not c > floor:
+            break
+        cols[q] = (S[j] - cols[:q, j] @ cols[:q]) / np.sqrt(c)
+        left -= cols[q] * cols[q]
+        left[j] = -np.inf
+        picks.append(j)
+    return top[picks]
 
 
 def lazy_greedy(L, budget=None):
@@ -415,8 +482,17 @@ def lazy_greedy(L, budget=None):
 
     Keeps every item's row of the factor and its Schur complement in a
     ``RowState``, so each step is an argmax over the complements and one
-    O(t·d) row update; no candidate is solved for.  Selects the same sequence
-    as ``exact_greedy``.
+    O(t·d) row update; no candidate is solved for.  Once the rows hold
+    ``_BLOCK_BYTES`` (2 MiB), a step instead certifies a prefix of the next
+    picks from the shortlist of the ``_BLOCK_SHORTLIST`` items of largest
+    complement: greedy pivoted Cholesky on their Schur complement, kept while
+    a pick's conditional complement exceeds 1 and every complement outside
+    the shortlist (Minoux 1978), and accepts the prefix with one
+    (p x t)(t x d) row-block update.  Selects the same sequence and stops for
+    the same reason as ``exact_greedy``.  ``metrics`` counts
+    ``certified_blocks`` and the ``certified_items`` they accepted; a block
+    step adds the remaining items to ``exact_evals`` once, like a single
+    step.
     """
     return _row_greedy("lazy", L, budget)
 

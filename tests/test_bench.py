@@ -32,6 +32,11 @@ def test_config_validation():
         ExperimentConfig(algorithms=("lazy", "newton"))
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
+    for name in ("budget", "p", "k", "s", "ell"):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
+                ExperimentConfig(**{name: value})
+    assert ExperimentConfig(budget=None).budget is None
 
 
 def test_lazy_baseline_anchors_itself():

@@ -220,16 +220,20 @@ def test_feature_dim_round_trips_through_gen_kernel_solve_and_verify(tmp_path):
 
 
 def _resolved_configs(tmp_path, flags):
-    """The solver fields that solve, bench and sweep resolve from ``flags``,
-    read from their --json output."""
+    """The solver fields that solve, bench and sweep resolve from ``flags``
+    (a dict of flag values), read from their --json output.  The sweep
+    sweeps p, so it is given no --p and reports only k, s and ell."""
     out = tmp_path / "out.json"
     resolved = {}
     for command in (["solve"], ["bench", "--algo", "lazy"], ["sweep", "p", "2"]):
-        argv = command + ["--dim", "12", "--budget", "3", *flags, "--json", str(out)]
+        names = [name for name in ("p", "k", "s", "ell") if name not in command]
+        given = [part for name, value in flags.items() if name in names
+                 for part in (f"--{name}", str(value))]
+        argv = command + ["--dim", "12", "--budget", "3", *given, "--json", str(out)]
         assert main(argv) == 0, argv
         payload = json.loads(out.read_text())
         record = payload["params"] if command == ["solve"] else payload["config"]
-        resolved[command[0]] = {name: record[name] for name in ("p", "k", "s", "ell")}
+        resolved[command[0]] = {name: record[name] for name in names}
     return resolved
 
 
@@ -240,12 +244,52 @@ def test_solver_default_copies_match_the_solvers(tmp_path):
     defaults = {**{name: alg1[name].default for name in ("p", "ell")},
                 **{name: alg2[name].default for name in ("k", "s")}}
     assert {name: getattr(ExperimentConfig(), name) for name in defaults} == defaults
-    for command, resolved in _resolved_configs(tmp_path, []).items():
-        assert resolved == defaults, command
+    for command, resolved in _resolved_configs(tmp_path, {}).items():
+        assert resolved == {name: defaults[name] for name in resolved}, command
     given = {"p": 3, "k": 4, "s": 9, "ell": 7}
-    flags = [part for name, value in given.items() for part in (f"--{name}", str(value))]
-    for command, resolved in _resolved_configs(tmp_path, flags).items():
-        assert resolved == given, command
+    for command, resolved in _resolved_configs(tmp_path, given).items():
+        assert resolved == {name: given[name] for name in resolved}, command
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--algo", "lazy", "--dim", "20", "--p", "-3"], "p must be positive, got -3"),
+    (["bench", "--algo", "alg2", "--dim", "20", "--s", "0"], "s must be positive, got 0"),
+    (["solve", "--dim", "20", "--budget", "0"], "budget must be positive, got 0"),
+    (["sweep", "k", "2,0", "--dim", "20"], "k must be positive, got 0"),
+    (["sweep", "p", "1", "--dim", "20", "--p", "3"], "--p is the swept parameter"),
+    (["sweep", "k", "1", "--dim", "20", "--k", "3"], "--k is the swept parameter"),
+], ids=["bench-p", "bench-s", "solve-budget", "sweep-value", "sweep-p", "sweep-k"])
+def test_bad_solver_fields_are_usage_errors(capsys, argv, message):
+    # caught by ExperimentConfig, or for a swept parameter's flag by sweep,
+    # before any solver runs
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"dppmap: error: {message}" in captured.err
+    assert "logdet=" not in captured.out
+
+
+def test_variance_defaults_are_variance_study_s(monkeypatch, capsys):
+    import functools
+
+    import dppmap.bench
+
+    study = dppmap.bench.variance_study
+    calls = []
+
+    @functools.wraps(study)
+    def record(**kwargs):
+        calls.append(kwargs)
+        return []
+
+    monkeypatch.setattr(dppmap.bench, "variance_study", record)
+    assert main(["variance", "--seed", "3"]) == 0
+    echo = dict(pair.split("=") for pair in capsys.readouterr().out.splitlines()[0].split()[2:])
+    defaults = {name: p.default for name, p in inspect.signature(study).parameters.items()}
+    echoed = {"trials": "trials", "dim": "dim", "probes": "probe_count",
+              "degree": "degree", "draws": "draws"}
+    assert {key: int(echo[key]) for key in echoed} == {
+        key: defaults[name] for key, name in echoed.items()}
+    assert calls == [{name: defaults[name] for name in echoed.values()} | {"seed": 3}]
 
 
 def _choices(parser, command, dest):

@@ -284,8 +284,9 @@ def test_row_state_add_batch_matches_single_adds(d, data):
         singles = RowState(L, d)
         for i in prefix:
             singles.add(i)
-    top, S = singles.shortlist(rest.size)
+    top, S, bound = singles.shortlist(rest.size)
     assert np.array_equal(top, rest)
+    assert bound == -np.inf
     expected = np.array([_joint_gain(L, prefix, batch) for batch in batches])
     gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]],
                             _PIVOT_FLOOR * np.diag(L)[batches])[0]
@@ -319,14 +320,91 @@ def test_shortlist_matches_the_dense_oracle(d, data):
             state.add(i)
     rest = np.flatnonzero(state.remaining)
     m = data.draw(st.integers(1, rest.size + 2))
-    top, S = state.shortlist(m)
+    top, S, bound = state.shortlist(m)
     # the largest complements, the smaller id on ties, in id order
     assert top.tolist() == sorted(sorted(rest.tolist(), key=lambda i: (-state.schur[i], i))[:m])
     X = state.selected
     oracle = L[np.ix_(top, top)]
+    outside = np.setdiff1d(rest, top)
+    # every complement outside the shortlist, from the dense solve
+    left_out = np.diag(L)[outside]
     if X:
         oracle = oracle - L[np.ix_(top, X)] @ np.linalg.solve(L[np.ix_(X, X)], L[np.ix_(X, top)])
+        border = L[np.ix_(X, outside)]
+        left_out = left_out - np.einsum("xi,xi->i", border,
+                                        np.linalg.solve(L[np.ix_(X, X)], border))
     assert _close(S, oracle, 1e-8)
+    # bound is the largest complement outside the shortlist, no smaller than
+    # any there and no larger than any in it
+    if outside.size:
+        assert bound == state.schur[outside].max()
+        assert _close(np.array(bound), np.array(left_out.max()), 1e-8)
+        assert bound <= state.schur[top].min()
+    else:
+        assert bound == -np.inf
+
+
+def _block_kernels(data):
+    """A drawn kernel at the edges of the block certificate: rank-deficient,
+    with duplicated items (exact ties in every complement, straddling any
+    shortlist cut), with an all-zero item, or diagonal with a few distinct
+    values (ties everywhere)."""
+    kind = data.draw(st.sampled_from(["low-rank", "duplicate", "zero", "ties"]))
+    d = data.draw(st.integers(2, 40))
+    seed = data.draw(st.integers(0, 2**16))
+    if kind == "ties":
+        return np.diag(data.draw(st.lists(st.sampled_from([0.5, 1.5, 2.0, 3.0]),
+                                          min_size=d, max_size=d)))
+    feature_dim = data.draw(st.integers(1, d)) if kind == "low-rank" else None
+    shift = 0.0 if kind == "low-rank" else data.draw(st.sampled_from([0.0, 1.01]))
+    L = data.draw(st.sampled_from([1.0, 50.0])) * generate_synthetic_kernel(SyntheticConfig(
+        dim=d, seed=seed, feature_dim=feature_dim, monotone_shift=shift))
+    if kind == "duplicate":
+        # each drawn item repeated at a drawn place
+        copies = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=4))
+        order = np.insert(np.arange(d), data.draw(st.integers(0, d)), copies)
+        return L[np.ix_(order, order)]
+    if kind == "zero":
+        z = data.draw(st.integers(0, d - 1))
+        L[z, :] = L[:, z] = 0.0
+    return L
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_certified_blocks_make_exact_greedy_s_picks(data):
+    # the block step forced on from the first pick, with a shortlist small
+    # enough that the cut falls inside the kernel
+    L = _block_kernels(data)
+    d = L.shape[0]
+    budget = data.draw(st.sampled_from([None, data.draw(st.integers(1, d))]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "_BLOCK_BYTES", 0)
+        mp.setattr(greedy, "_BLOCK_SHORTLIST", data.draw(st.integers(1, 8)))
+        lazy = lazy_greedy(L, budget)
+    exact = exact_greedy(L, budget)
+    assert lazy.selected == exact.selected
+    assert lazy.stop_reason == exact.stop_reason
+    assert len(lazy.gains) == len(lazy.selected)
+    assert np.abs(np.subtract(lazy.gains, exact.gains)).max(initial=0.0) <= 1e-10
+    fresh = cholesky_logdet(L[np.ix_(lazy.selected, lazy.selected)])[0]
+    assert abs(sum(lazy.gains) - fresh) <= 1e-8
+    assert abs(lazy.log_det - fresh) <= 1e-8
+    assert lazy.metrics["certified_items"] <= lazy.size
+
+
+def test_lazy_certifies_blocks_at_the_default_threshold():
+    # at d=1000 the rows reach 2 MiB at t = 263 of 350 picks
+    L = kernel(1000, 0, shift=0.0)
+    lazy = lazy_greedy(L)
+    exact = exact_greedy(L)
+    assert lazy.selected == exact.selected
+    assert lazy.stop_reason == exact.stop_reason == "nonpositive-gain"
+    assert lazy.metrics["certified_blocks"] >= 1
+    assert lazy.metrics["certified_items"] >= 2 * lazy.metrics["certified_blocks"]
+    # below the threshold every step is a single pick
+    assert lazy.size - lazy.metrics["certified_items"] >= (2 << 20) // (8 * 1000)
+    assert abs(sum(lazy.gains) - lazy.log_det) <= 1e-8
 
 
 def test_budget_validation():
