@@ -360,7 +360,7 @@ def _block_kernels(data):
     L = data.draw(st.sampled_from([1.0, 50.0])) * generate_synthetic_kernel(SyntheticConfig(
         dim=d, seed=seed, feature_dim=feature_dim, monotone_shift=shift))
     if kind == "duplicate":
-        # each drawn item repeated at a drawn place
+        # copies of the drawn items, inserted together at a drawn place
         copies = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=4))
         order = np.insert(np.arange(d), data.draw(st.integers(0, d)), copies)
         return L[np.ix_(order, order)]
@@ -403,7 +403,7 @@ def test_lazy_certifies_blocks_at_the_default_threshold():
     assert lazy.metrics["certified_blocks"] >= 1
     assert lazy.metrics["certified_items"] >= 2 * lazy.metrics["certified_blocks"]
     # below the threshold every step is a single pick
-    assert lazy.size - lazy.metrics["certified_items"] >= (2 << 20) // (8 * 1000)
+    assert lazy.size - lazy.metrics["certified_items"] >= greedy._BLOCK_BYTES // (8 * 1000)
     assert abs(sum(lazy.gains) - lazy.log_det) <= 1e-8
 
 
