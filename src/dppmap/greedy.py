@@ -12,12 +12,14 @@ the log of the Schur complement those rows already hold.
 same sequence as ``exact_greedy``; once the rows outgrow a cache it certifies
 several of exact greedy's next picks at a time from a shortlist (Minoux's
 accelerated-greedy bound: a complement never grows) and accepts them with
-one row-block update.  ``batch_greedy`` (alg2) is the same loop, without
-the certified blocks, plus a pool of k-batches: each step it draws ``s``
-batches from the shortlist of the 3k items with the largest gains
-(``RowState.shortlist``), prices each exactly as the log det of its
-principal block of the shortlist's Schur complement, and accepts the best
-batch when it gains more than lazy's single pick.  ``partitioned_greedy``
+one row-block update.  ``batch_greedy`` (alg2) is the same loop plus a
+pool of k-batches: each step it draws ``s`` batches from the shortlist of
+the 3k items with the largest gains (``RowState.shortlist``), prices each
+exactly as the log det of its principal block of the shortlist's Schur
+complement, and accepts the best batch when it gains more than lazy's
+single pick.  Where lazy certifies a block, alg2 draws the pool from the
+rest of the shortlist, conditioned on the block, and accepts block and
+batch in one row update.  ``partitioned_greedy``
 (alg1) prices every candidate by a first-order expansion around a
 partition-averaged bordered kernel, in closed form from the rows
 (``RowState.first_order``), re-scores the top ``ell`` exactly
@@ -387,23 +389,25 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     """The selection loop of lazy and, with a k-batch pool, alg2.
 
     Each step takes the remaining item of largest complement (the smallest
-    id on ties) and stops when its gain is not positive.  Without ``k``
-    (lazy), once the kept rows fill ``_BLOCK_BYTES`` it first certifies a
-    prefix of exact greedy's next picks from ``RowState.shortlist`` of
-    ``_BLOCK_SHORTLIST`` items (``_certified_picks``) and, when the prefix
-    holds two or more, accepts it by one ``add_batch`` in pick order; a
-    shorter prefix, or smaller rows, take the single item.  With ``k`` set, it
-    then draws ``s`` k-batches by ``sample_batches`` from
-    ``RowState.shortlist`` of 3k items and prices each exactly, as the log
-    det of its principal block of the shortlist's complement S, all s by one
-    stacked Cholesky.  A batch is priced -inf where its pivot at item j is
-    not above sqrt(eps) L[j, j]: the subtraction has then cancelled over half
-    the digits of j's complement, which is rounding noise when j depends on
-    the rest of the batch and the selection.  The best batch, the
-    lexicographically smallest on ties, is accepted when it gains more than
-    the single item; otherwise the single item is.  The pool is skipped once
-    a batch would overshoot the budget, and so while fewer than k items are
-    left.
+    id on ties) and stops when its gain is not positive.  Once the kept rows
+    fill ``_BLOCK_BYTES`` it first certifies a prefix of exact greedy's next
+    picks from ``RowState.shortlist`` of ``_BLOCK_SHORTLIST`` items
+    (``_certified_picks``) and, when the prefix holds two or more, accepts
+    it by one ``add_batch`` in pick order; a shorter prefix, or smaller rows,
+    take the single item.  With ``k`` set (alg2), a step that takes the
+    single item first draws ``s`` k-batches by ``_best_batch`` from
+    ``RowState.shortlist`` of 3k items and accepts the best when it gains
+    more than the single item.  A step that certifies a prefix draws them
+    instead from the 3k items of the rest of the shortlist with the largest
+    complements conditioned on the prefix, priced on that conditioned
+    complement, and appends the best batch to the prefix, in the same
+    ``add_batch``, when it gains more than 1 and more than any single item
+    could after the prefix (the conditioned complements and the shortlist's
+    ``bound``).  The pool is skipped where a batch would overshoot the
+    budget, and so while fewer than k items are left.  ``metrics`` counts
+    ``certified_blocks`` and their ``certified_items``; alg2's also counts
+    ``batch_steps`` (every accepted batch), the ``block_batches`` among them
+    accepted with a prefix, and ``single_steps``.
     ``sample_batches`` is looked up in this module at call time, where
     benchmark/tracing.py swaps in a timed wrapper.
     """
@@ -413,7 +417,7 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     state = RowState(L, cap)
     schur = state.schur
     rng = None if k is None else substream(seed, "batches")
-    batch_steps = single_steps = blocks = block_items = 0
+    batch_steps = block_batches = single_steps = blocks = block_items = 0
     stop = "budget" if budget is not None else "exhausted"
     while state.size < cap:  # cap <= d, so items remain
         rest = np.flatnonzero(state.remaining)
@@ -422,23 +426,36 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
         if not schur[i] > 1.0:  # log gain <= 0
             stop = "nonpositive-gain"
             break
-        if k is None:
-            if 8 * state.size * d >= _BLOCK_BYTES:
-                picks = _certified_picks(state, _BLOCK_SHORTLIST, cap - state.size)
-                if len(picks) > 1:
-                    state.add_batch(picks)
-                    blocks += 1
-                    block_items += len(picks)
-                    continue
-        elif state.size + k <= cap:  # cap <= d: k items remain
+        if 8 * state.size * d >= _BLOCK_BYTES:
+            top, S, bound = state.shortlist(_BLOCK_SHORTLIST)
+            picks, cols, left = _certified_picks(S, bound, cap - state.size)
+            if len(picks) > 1:
+                items = top[picks]
+                blocks += 1
+                block_items += len(picks)
+                if k is not None and state.size + len(picks) + k <= cap:
+                    # the pool, drawn from the rest of the shortlist and priced
+                    # on its complement conditioned on the certified picks
+                    unpicked = np.flatnonzero(left > -np.inf)
+                    cand = unpicked[np.sort(_top_cut(left[unpicked],
+                                                     _SHORTLIST_PER_BATCH_ITEM * k))]
+                    if cand.size >= k:
+                        cc = cols[:, cand]
+                        best, pos = _best_batch(S[np.ix_(cand, cand)] - cc.T @ cc,
+                                                state.diag[top[cand]], k, s, rng)
+                        state.exact_evals += s
+                        if best > np.log(max(left[unpicked].max(), bound, 1.0)):
+                            items = np.concatenate([items, top[cand[pos]]])
+                            batch_steps += 1
+                            block_batches += 1
+                state.add_batch(items)
+                continue
+        if k is not None and state.size + k <= cap:  # cap <= d: k items remain
             top, S, _ = state.shortlist(_SHORTLIST_PER_BATCH_ITEM * k)
-            pos = sample_batches(np.arange(top.size), k, s, rng)
-            gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]],
-                                    _PIVOT_FLOOR * state.diag[top[pos]])[0]
+            best, pos = _best_batch(S, state.diag[top], k, s, rng)
             state.exact_evals += s
-            best = gains.max()
             if best > np.log(schur[i]):
-                state.add_batch(top[list(min(map(tuple, pos[gains == best].tolist())))])
+                state.add_batch(top[pos])
                 batch_steps += 1
                 continue
         state.add(i)
@@ -446,27 +463,48 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     if k is None:
         return _result(state, algorithm, stop, certified_blocks=blocks,
                        certified_items=block_items)
-    return _result(state, algorithm, stop, batch_steps=batch_steps, single_steps=single_steps)
+    return _result(state, algorithm, stop, batch_steps=batch_steps,
+                   block_batches=block_batches, single_steps=single_steps,
+                   certified_blocks=blocks, certified_items=block_items)
 
 
-def _certified_picks(state, m, room):
-    """Exact greedy's next picks, at most ``room``, certified from ``shortlist(m)``.
+def _best_batch(S, diag, k, s, rng):
+    """The best of ``s`` k-batches drawn by ``sample_batches`` from the items
+    of complement S.
 
-    Greedy pivoted Cholesky on the shortlist's complement S: each pivot is
-    the item of largest conditional complement (the smallest id on ties),
-    kept while that complement is above both 1 (a positive log gain) and the
-    shortlist's ``bound``.  No item outside the shortlist can then gain as
-    much, so each kept pivot is the item exact greedy would pick next.
-    Returns the kept items in pick order.
+    Each batch is priced by the log det of its principal block of S, all s by
+    one stacked Cholesky.  A batch is priced -inf where its pivot at item j
+    is not above sqrt(eps) ``diag[j]``, j's diagonal of L: the subtraction
+    has then cancelled over half the digits of j's complement, which is
+    rounding noise when j depends on the rest of the batch and the
+    selection.  Returns (gain, positions) of the best batch, the
+    lexicographically smallest on ties.
     """
-    top, S, bound = state.shortlist(m)
+    pos = sample_batches(np.arange(S.shape[0]), k, s, rng)
+    gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]], _PIVOT_FLOOR * diag[pos])[0]
+    best = gains.max()
+    return best, list(min(map(tuple, pos[gains == best].tolist())))
+
+
+def _certified_picks(S, bound, room):
+    """Exact greedy's next picks, at most ``room``, certified from a shortlist.
+
+    ``S`` and ``bound`` are ``RowState.shortlist``'s.  Greedy pivoted
+    Cholesky on S: each pivot is the item of largest conditional complement
+    (the smallest id on ties), kept while that complement is above both 1 (a
+    positive log gain) and ``bound``.  No item outside the shortlist can then
+    gain as much, so each kept pivot is the item exact greedy would pick
+    next.  Returns (picks, cols, left): the kept pivots' positions in the
+    shortlist, in pick order; their columns of S's factor, one row each; and
+    the shortlist's complements conditioned on them, -inf at the picks.
+    """
     floor = max(bound, 1.0)
-    n = min(room, top.size)
+    n = min(room, S.shape[0])
     left = np.diag(S).copy()  # conditional complements of the shortlist
-    cols = np.empty((n, top.size))  # row q: pivot q's column of S's factor
+    cols = np.empty((n, S.shape[0]))  # row q: pivot q's column of S's factor
     picks = []
     for q in range(n):
-        j = int(np.argmax(left))  # top is in id order: ties go to the smaller id
+        j = int(np.argmax(left))  # the shortlist is in id order: ties go to the smaller id
         c = left[j]
         if not c > floor:
             break
@@ -474,7 +512,7 @@ def _certified_picks(state, m, room):
         left -= cols[q] * cols[q]
         left[j] = -np.inf
         picks.append(j)
-    return top[picks]
+    return picks, cols[: len(picks)], left
 
 
 def lazy_greedy(L, budget=None):
@@ -641,12 +679,18 @@ def batch_greedy(L, budget=None, k=10, s=50, seed=0):
     uniformly from the 3k remaining items of largest gain and priced by
     their exact joint gains from the kept rows.  The best batch is accepted
     when it gains more than lazy's single pick, so late steps fall back to
-    single items when whole batches stop paying.  This departs from Han et
-    al. (ICML 2017), who draw batches from all remaining items and price
-    them by a first-order estimate.  The pool is skipped while fewer than k
-    items are left or a batch would overshoot the budget.  Stops as lazy
-    does.  ``metrics`` counts ``batch_steps`` and ``single_steps``; ``gains``
-    holds one conditional gain per item.
+    single items when whole batches stop paying.  Where lazy accepts a
+    certified block of exact greedy's next picks, alg2 accepts the block
+    with a batch drawn from the rest of the shortlist, conditioned on the
+    block, in the same row update, so each update takes more items than
+    lazy's.  This departs from Han et al. (ICML 2017), who draw batches from
+    all remaining items and price them by a first-order estimate.  The pool
+    is skipped while fewer than k items are left or a batch would overshoot
+    the budget.  Stops as lazy does.  ``metrics`` counts ``batch_steps``,
+    the ``block_batches`` among them, ``single_steps``, ``certified_blocks``
+    and ``certified_items``, so k·batch_steps + single_steps +
+    certified_items is the size; ``gains`` holds one conditional gain per
+    item.
     """
     if k < 1 or s < 1:
         raise ValueError(f"batch size and count must be positive, got k={k}, s={s}")
