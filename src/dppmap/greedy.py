@@ -13,18 +13,17 @@ same sequence as ``exact_greedy``; once the rows outgrow a cache it certifies
 several of exact greedy's next picks at a time from a shortlist (Minoux's
 accelerated-greedy bound: a complement never grows) and accepts them with
 one row-block update.  ``batch_greedy`` (alg2) is the same loop plus a
-pool of k-batches: each step it draws ``s`` batches from the shortlist of
-the 3k items with the largest gains (``RowState.shortlist``), prices each
-exactly as the log det of its principal block of the shortlist's Schur
-complement, and accepts the best batch when it gains more than lazy's
-single pick.  Where lazy certifies a block, alg2 draws the pool from the
-rest of the shortlist, conditioned on the block, and accepts block and
-batch in one row update.  ``partitioned_greedy``
-(alg1) prices every candidate by a first-order expansion around a
-partition-averaged bordered kernel, in closed form from the rows
-(``RowState.first_order``), re-scores the top ``ell`` exactly
-(``top_l_refine``) and accepts the best.  Once the
-rows are kept an exact gain costs O(1) per candidate and an estimate O(t),
+pool of k-batches: each step it draws ``s`` batches from the 3k items with
+the largest gains (``RowState.shortlist``), prices each exactly as the log
+det of its principal block of the shortlist's Schur complement, and
+accepts the best batch when it gains more than lazy's single pick.  Once
+lazy certifies picks, alg2 draws the pool from the rest of the same
+shortlist, conditioned on the picks, and accepts picks and batch in one row
+update.  ``partitioned_greedy`` (alg1) prices every candidate by a
+first-order expansion around a partition-averaged bordered kernel, in
+closed form from the rows (``RowState.first_order``), re-scores the top
+``ell`` exactly (``top_l_refine``) and accepts the best.  Once the rows are
+kept an exact gain costs O(1) per candidate and an estimate O(t),
 so alg1 pays lazy's row update plus two p-row products over the rows, taken
 in one cache-blocked sweep, and cannot beat lazy; the paper's saving exists
 only where the rows are not kept.  ``first_order_gains`` is the CG form of
@@ -374,13 +373,14 @@ def exact_greedy(L, budget=None):
 # 0.9998 / 0.9992 / 0.9992 / 0.9991 on five d=2000 natural kernels and
 # 0.9924 / 0.9916 / 0.9911 / 0.9872 on twenty d=500 kernels at budget 30.
 _SHORTLIST_PER_BATCH_ITEM = 3
-# lazy certifies its next picks from the 96 items of largest gain, and only
-# once the kept rows R (8·t·d bytes) outgrow 2 MiB, the L2 cache of the host
-# these were chosen on: below that one row update is cheaper than the
-# shortlist and its pivot loop.  On the benchmark's seed-0 kernels (one OpenBLAS thread),
-# lazy's median on natural-d2000 was 101 / 88 / 86-89 ms for shortlists of
-# 32 / 64 / 96 items and within 3% across 0.5, 1 and 2 MiB; on wide-d8000 it
-# was 49-50 / 44-45 / 42-44 ms; requests-d500 never reaches the threshold.
+# lazy (and alg2) certify the next picks from the 96 items of largest gain,
+# and only once the kept rows R (8·t·d bytes) outgrow 2 MiB, the L2 cache of
+# the host these were chosen on: below that one row update is cheaper than
+# the shortlist and its pivot loop.  On the benchmark's seed-0 kernels (one
+# OpenBLAS thread), lazy's median on natural-d2000 was 101 / 88 / 86-89 ms
+# for shortlists of 32 / 64 / 96 items and within 3% across 0.5, 1 and
+# 2 MiB; on wide-d8000 it was 49-50 / 44-45 / 42-44 ms; requests-d500 never
+# reaches the threshold.
 _BLOCK_SHORTLIST = 96
 _BLOCK_BYTES = 2 << 20
 
@@ -392,24 +392,19 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     id on ties) and stops when its gain is not positive.  Once the kept rows
     fill ``_BLOCK_BYTES`` it first certifies a prefix of exact greedy's next
     picks from ``RowState.shortlist`` of ``_BLOCK_SHORTLIST`` items
-    (``_certified_picks``) and, when the prefix holds two or more, accepts
-    it by one ``add_batch`` in pick order; a shorter prefix, or smaller rows,
-    take the single item.  With ``k`` set (alg2), a step that takes the
-    single item first draws ``s`` k-batches by ``_best_batch`` from
-    ``RowState.shortlist`` of 3k items and accepts the best when it gains
-    more than the single item.  A step that certifies a prefix draws them
-    instead from the 3k items of the rest of the shortlist with the largest
-    complements conditioned on the prefix, priced on that conditioned
-    complement, and appends the best batch to the prefix, in the same
-    ``add_batch``, when it gains more than 1 and more than any single item
-    could after the prefix (the conditioned complements and the shortlist's
-    ``bound``).  The pool is skipped where a batch would overshoot the
-    budget, and so while fewer than k items are left.  ``metrics`` counts
-    ``certified_blocks`` and their ``certified_items``; alg2's also counts
-    ``batch_steps`` (every accepted batch), the ``block_batches`` among them
-    accepted with a prefix, and ``single_steps``.
-    ``sample_batches`` is looked up in this module at call time, where
-    benchmark/tracing.py swaps in a timed wrapper.
+    (``_certified_picks``).  With ``k`` set (alg2) it then draws a pool of
+    ``s`` k-batches (``_best_batch``) from the rest of that shortlist,
+    conditioned on the prefix; below the threshold, from
+    ``RowState.shortlist`` of 3k items.  The best batch is kept when it gains
+    more than any single item could after the prefix.  Prefix and batch are
+    accepted by one ``add_batch``, in that order, when they hold two or more
+    items or a batch; otherwise the step takes the single item.  The pool is
+    skipped where a batch would overshoot the budget, and so while fewer
+    than k items are left.  ``metrics`` counts ``certified_blocks``, the
+    updates that accepted a prefix, and their ``certified_items``; alg2's
+    also counts ``batch_steps``, the updates that accepted a batch, and
+    ``single_steps``, so k·batch_steps + single_steps + certified_items is
+    the size.
     """
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
@@ -417,7 +412,7 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     state = RowState(L, cap)
     schur = state.schur
     rng = None if k is None else substream(seed, "batches")
-    batch_steps = block_batches = single_steps = blocks = block_items = 0
+    batch_steps = single_steps = blocks = block_items = 0
     stop = "budget" if budget is not None else "exhausted"
     while state.size < cap:  # cap <= d, so items remain
         rest = np.flatnonzero(state.remaining)
@@ -426,64 +421,69 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
         if not schur[i] > 1.0:  # log gain <= 0
             stop = "nonpositive-gain"
             break
+        picks, batch = [], []
         if 8 * state.size * d >= _BLOCK_BYTES:
             top, S, bound = state.shortlist(_BLOCK_SHORTLIST)
             picks, cols, left = _certified_picks(S, bound, cap - state.size)
-            if len(picks) > 1:
-                items = top[picks]
-                blocks += 1
-                block_items += len(picks)
-                if k is not None and state.size + len(picks) + k <= cap:
-                    # the pool, drawn from the rest of the shortlist and priced
-                    # on its complement conditioned on the certified picks
-                    unpicked = np.flatnonzero(left > -np.inf)
-                    cand = unpicked[np.sort(_top_cut(left[unpicked],
-                                                     _SHORTLIST_PER_BATCH_ITEM * k))]
-                    if cand.size >= k:
-                        cc = cols[:, cand]
-                        best, pos = _best_batch(S[np.ix_(cand, cand)] - cc.T @ cc,
-                                                state.diag[top[cand]], k, s, rng)
-                        state.exact_evals += s
-                        if best > np.log(max(left[unpicked].max(), bound, 1.0)):
-                            items = np.concatenate([items, top[cand[pos]]])
-                            batch_steps += 1
-                            block_batches += 1
-                state.add_batch(items)
-                continue
-        if k is not None and state.size + k <= cap:  # cap <= d: k items remain
+            # no item gains more than this after the picks
+            single = max(left.max(), bound, 1.0)
+        elif k is not None and state.size + k <= cap:  # cap <= d: k items remain
             top, S, _ = state.shortlist(_SHORTLIST_PER_BATCH_ITEM * k)
-            best, pos = _best_batch(S, state.diag[top], k, s, rng)
-            state.exact_evals += s
-            if best > np.log(schur[i]):
-                state.add_batch(top[pos])
-                batch_steps += 1
-                continue
+            cols, left, single = None, np.diag(S), schur[i]
+        if k is not None and state.size + len(picks) + k <= cap:
+            batch = _best_batch(state, top, S, cols, left, single, k, s, rng)
+        if len(picks) > 1 or len(batch):
+            state.add_batch(np.concatenate([top[picks], batch]))
+            blocks += bool(picks)
+            block_items += len(picks)
+            batch_steps += bool(len(batch))
+            continue
         state.add(i)
         single_steps += 1
     if k is None:
         return _result(state, algorithm, stop, certified_blocks=blocks,
                        certified_items=block_items)
-    return _result(state, algorithm, stop, batch_steps=batch_steps,
-                   block_batches=block_batches, single_steps=single_steps,
+    return _result(state, algorithm, stop, batch_steps=batch_steps, single_steps=single_steps,
                    certified_blocks=blocks, certified_items=block_items)
 
 
-def _best_batch(S, diag, k, s, rng):
-    """The best of ``s`` k-batches drawn by ``sample_batches`` from the items
-    of complement S.
+def _best_batch(state, top, S, cols, left, single, k, s, rng):
+    """The pool step of alg2: the best of ``s`` k-batches, or no item.
 
-    Each batch is priced by the log det of its principal block of S, all s by
-    one stacked Cholesky.  A batch is priced -inf where its pivot at item j
-    is not above sqrt(eps) ``diag[j]``, j's diagonal of L: the subtraction
-    has then cancelled over half the digits of j's complement, which is
-    rounding noise when j depends on the rest of the batch and the
-    selection.  Returns (gain, positions) of the best batch, the
-    lexicographically smallest on ties.
+    ``top`` and ``S`` are ``RowState.shortlist``'s.  ``left`` holds the
+    shortlist's complements, -inf at a certified prefix, and ``cols`` the
+    prefix's columns of S's factor (``_certified_picks``; None with no
+    prefix).  The batches are drawn by ``sample_batches`` from the 3k items
+    outside the prefix of largest ``left`` and priced exactly, as log dets
+    of their principal blocks of S conditioned on the prefix, all s by one
+    stacked Cholesky.  A batch is priced -inf where its pivot at item j is
+    not above sqrt(eps) L[j, j]: the subtraction has then cancelled over half
+    the digits of j's complement, which is rounding noise when j depends on
+    the rest of the batch and the selection.  Returns the items of the best
+    batch, the lexicographically smallest on ties, when it gains more than
+    log ``single``, and an empty array otherwise.  ``sample_batches`` is
+    looked up in this module at call time, where benchmark/tracing.py swaps
+    in a timed wrapper.
     """
-    pos = sample_batches(np.arange(S.shape[0]), k, s, rng)
-    gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]], _PIVOT_FLOOR * diag[pos])[0]
+    cand = np.flatnonzero(left > -np.inf)
+    if cand.size < k:
+        return cand[:0]
+    if cand.size > _SHORTLIST_PER_BATCH_ITEM * k:
+        cand = cand[np.sort(_top_cut(left[cand], _SHORTLIST_PER_BATCH_ITEM * k))]
+    if cand.size < top.size:  # a cut or a prefix: S restricted to cand, conditioned
+        S = S[np.ix_(cand, cand)]
+        if cols is not None:
+            cc = cols[:, cand]
+            S = S - cc.T @ cc
+        top = top[cand]
+    pos = sample_batches(np.arange(top.size), k, s, rng)
+    gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]],
+                            _PIVOT_FLOOR * state.diag[top[pos]])[0]
+    state.exact_evals += s
     best = gains.max()
-    return best, list(min(map(tuple, pos[gains == best].tolist())))
+    if not best > np.log(single):
+        return cand[:0]
+    return top[list(min(map(tuple, pos[gains == best].tolist())))]
 
 
 def _certified_picks(S, bound, room):
@@ -679,18 +679,17 @@ def batch_greedy(L, budget=None, k=10, s=50, seed=0):
     uniformly from the 3k remaining items of largest gain and priced by
     their exact joint gains from the kept rows.  The best batch is accepted
     when it gains more than lazy's single pick, so late steps fall back to
-    single items when whole batches stop paying.  Where lazy accepts a
-    certified block of exact greedy's next picks, alg2 accepts the block
-    with a batch drawn from the rest of the shortlist, conditioned on the
-    block, in the same row update, so each update takes more items than
-    lazy's.  This departs from Han et al. (ICML 2017), who draw batches from
-    all remaining items and price them by a first-order estimate.  The pool
-    is skipped while fewer than k items are left or a batch would overshoot
-    the budget.  Stops as lazy does.  ``metrics`` counts ``batch_steps``,
-    the ``block_batches`` among them, ``single_steps``, ``certified_blocks``
-    and ``certified_items``, so k·batch_steps + single_steps +
-    certified_items is the size; ``gains`` holds one conditional gain per
-    item.
+    single items when whole batches stop paying.  Where lazy certifies a
+    prefix of exact greedy's next picks, the pool is drawn from the rest of
+    lazy's shortlist, priced conditioned on the prefix, and its best batch
+    is appended to the prefix in the same row update when it gains more
+    than any single item could after the prefix.  This departs from Han et
+    al. (ICML 2017), who draw batches from all remaining items and price
+    them by a first-order estimate.  The pool is skipped while fewer than k
+    items are left or a batch would overshoot the budget.  Stops as lazy
+    does.  ``metrics`` counts ``batch_steps``, ``single_steps``,
+    ``certified_blocks`` and ``certified_items`` (see ``_row_greedy``);
+    ``gains`` holds one conditional gain per item.
     """
     if k < 1 or s < 1:
         raise ValueError(f"batch size and count must be positive, got k={k}, s={s}")
