@@ -368,20 +368,19 @@ def _cmd_variance(args):
     return 0
 
 
-def _selection_problem(selected, d):
-    """Why ``selected`` is not a list of distinct item ids below d, or None."""
+def _check_selection(selected, d):
+    """Raise ValueError unless ``selected`` is a list of distinct item ids below d."""
     if not isinstance(selected, list):
-        return "'selected' is not a list of item ids"
+        raise ValueError("'selected' is not a list of item ids")
     seen = set()
     for i in selected:
         if isinstance(i, bool) or not isinstance(i, int):
-            return f"selected id {i!r} is not an integer"
+            raise ValueError(f"selected id {i!r} is not an integer")
         if not 0 <= i < d:
-            return f"selected id {i} is out of range for a kernel of {d} items"
+            raise ValueError(f"selected id {i} is out of range for a kernel of {d} items")
         if i in seen:
-            return f"selected id {i} appears more than once"
+            raise ValueError(f"selected id {i} appears more than once")
         seen.add(i)
-    return None
 
 
 _SYNTHETIC_KEYS = ("dim", "seed", *_KERNEL_FIELDS)
@@ -424,8 +423,7 @@ def _cmd_verify(args):
     selected = payload.get("selected")
     stored = payload.get("log_det")
     if selected is None or stored is None:
-        print("dppmap: error: result file lacks 'selected'/'log_det'", file=sys.stderr)
-        return 1
+        raise ValueError("result file lacks 'selected'/'log_det'")
     # NaN and infinities parse from JSON; a NaN difference passes any tolerance
     if (isinstance(stored, bool) or not isinstance(stored, (int, float))
             or not abs(stored) <= sys.float_info.max):
@@ -441,13 +439,9 @@ def _cmd_verify(args):
         elif "synthetic" in info:
             L = generate_synthetic_kernel(_record_config(info["synthetic"]))
         else:
-            print("no kernel recorded in result; pass --kernel", file=sys.stderr)
-            return 1
+            raise ValueError("no kernel recorded in result; pass --kernel")
     validate_kernel(L)
-    problem = _selection_problem(selected, L.shape[0])
-    if problem:
-        print(f"dppmap: error: {problem}", file=sys.stderr)
-        return 1
+    _check_selection(selected, L.shape[0])
     idx = np.asarray(selected, dtype=int)
     recomputed, _ = cholesky_logdet(L[np.ix_(idx, idx)])
     diff = abs(recomputed - stored)

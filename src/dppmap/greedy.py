@@ -12,14 +12,14 @@ the log of the Schur complement those rows already hold.
 same sequence as ``exact_greedy``; once the rows outgrow a cache it certifies
 several of exact greedy's next picks at a time from a shortlist (Minoux's
 accelerated-greedy bound: a complement never grows) and accepts them with
-one row-block update.  ``batch_greedy`` (alg2) is the same loop plus a
-pool of k-batches: each step it draws ``s`` batches from the 3k items with
-the largest gains (``RowState.shortlist``), prices each exactly as the log
-det of its principal block of the shortlist's Schur complement, and
-accepts the best batch when it gains more than lazy's single pick.  Once
-lazy certifies picks, alg2 draws the pool from the rest of the same
-shortlist, conditioned on the picks, and accepts picks and batch in one row
-update.  ``partitioned_greedy`` (alg1) prices every candidate by a
+one row-block update.  ``batch_greedy`` (alg2) takes that block step at
+every step with room for a batch, whatever the size of the rows, and adds
+a pool of k-batches: it draws ``s`` batches from the 3k items of the rest
+of the shortlist with the largest gains conditioned on the certified picks,
+prices each exactly as the log det of its principal block of that
+conditioned Schur complement, and accepts picks and best batch in one row
+update when the batch gains more than any single item could after the
+picks.  ``partitioned_greedy`` (alg1) prices every candidate by a
 first-order expansion around a partition-averaged bordered kernel, in
 closed form from the rows (``RowState.first_order``), re-scores the top
 ``ell`` exactly (``top_l_refine``) and accepts the best.  Once the rows are
@@ -137,10 +137,11 @@ class RowState:
     (Chen, Zhang & Zhou 2018), and ``schur`` = diag(L) - colsum(R**2) holds
     every item's Schur complement against the selection, so an item's exact
     gain is the log of its complement and no factor of L[X, X] is kept.
-    ``add`` appends one O(t·d) row and ``add_batch`` k rows at once; the row
-    buffer grows by doubling from 256 rows up to ``capacity``.  Both keep one
-    gain per accepted item and raise LinAlgError naming the item (or batch)
-    and the step when the complement is not positive (definite).
+    ``add`` appends one O(t·d) row and ``add_batch`` k rows at once, into a
+    ``capacity`` x d buffer allocated once by ``np.zeros``: its pages are
+    mapped on first write, so only the rows a run fills are touched.  Both
+    keep one gain per accepted item and raise LinAlgError naming the item (or
+    batch) and the step when the complement is not positive (definite).
     """
 
     def __init__(self, L, capacity):
@@ -148,8 +149,7 @@ class RowState:
         self.L = L
         self.diag = np.diag(L)
         self.schur = self.diag.copy()
-        self.rows = np.zeros((min(capacity, 256), d))
-        self._cap = capacity
+        self.rows = np.zeros((capacity, d))
         self.remaining = np.ones(d, dtype=bool)
         self.selected = []
         self.gains = []
@@ -160,13 +160,6 @@ class RowState:
     def size(self):
         return len(self.selected)
 
-    def _grow(self, need):
-        have = self.rows.shape[0]
-        if need > have:
-            grown = np.zeros((min(self._cap, max(need, 2 * have)), self.rows.shape[1]))
-            grown[:have] = self.rows
-            self.rows = grown
-
     def add(self, i):
         """Accept item ``i``; returns its gain, the log of its complement."""
         i = int(i)
@@ -176,7 +169,6 @@ class RowState:
             raise np.linalg.LinAlgError(
                 f"item {i} at step {len(self.gains)}: Schur complement {s:.3g} "
                 f"against {t} selected items is not positive")
-        self._grow(t + 1)
         rows = self.rows
         e = (self.L[i] - rows[:t, i] @ rows[:t]) / np.sqrt(s)
         rows[t] = e
@@ -207,7 +199,6 @@ class RowState:
             raise np.linalg.LinAlgError(
                 f"batch {items} at step {len(self.gains)}: Schur complement against "
                 f"{t} selected items is not positive definite") from exc
-        self._grow(t + len(items))
         e = c.solve_lower(self.L[items] - rb.T @ R)
         self.rows[t : t + len(items)] = e
         self.schur -= np.einsum("kd,kd->d", e, e)
@@ -368,19 +359,22 @@ def exact_greedy(L, budget=None):
                            log_det=factor.log_det, exact_evals=evals, stop_reason=stop)
 
 
-# alg2 draws its batches from the 3k items of largest gain.  Median log-det
-# ratios against lazy for shortlists of 2k / 3k / 4k / 6k items were
-# 0.9998 / 0.9992 / 0.9992 / 0.9991 on five d=2000 natural kernels and
-# 0.9924 / 0.9916 / 0.9911 / 0.9872 on twenty d=500 kernels at budget 30.
+# alg2 draws its batches from the 3k items of largest gain in the rest of
+# the block shortlist, conditioned on the certified prefix.  Median log-det
+# ratios against lazy for cuts of 2k / 3k / 4k items (k = 10, one pool per
+# step with room for a batch) were 0.9998 / 0.9994 / 0.9996 on five d=2000
+# natural kernels and 0.9984 / 0.9973 / 0.9969 on twenty d=500 kernels with
+# 64 features at budget 30.
 _SHORTLIST_PER_BATCH_ITEM = 3
-# lazy (and alg2) certify the next picks from the 96 items of largest gain,
-# and only once the kept rows R (8·t·d bytes) outgrow 2 MiB, the L2 cache of
-# the host these were chosen on: below that one row update is cheaper than
-# the shortlist and its pivot loop.  On the benchmark's seed-0 kernels (one
-# OpenBLAS thread), lazy's median on natural-d2000 was 101 / 88 / 86-89 ms
-# for shortlists of 32 / 64 / 96 items and within 3% across 0.5, 1 and
-# 2 MiB; on wide-d8000 it was 49-50 / 44-45 / 42-44 ms; requests-d500 never
-# reaches the threshold.
+# lazy certifies the next picks from the 96 items of largest gain, and only
+# once the kept rows R (8·t·d bytes) outgrow 2 MiB, the L2 cache of the host
+# these were chosen on: below that one row update is cheaper than the
+# shortlist and its pivot loop.  alg2 takes the same shortlist, and the
+# pool's cut inside it, at every step with room for a batch.  On the
+# benchmark's seed-0 kernels (one OpenBLAS thread), lazy's median on
+# natural-d2000 was 101 / 88 / 86-89 ms for shortlists of 32 / 64 / 96 items
+# and within 3% across 0.5, 1 and 2 MiB; on wide-d8000 it was 49-50 / 44-45 /
+# 42-44 ms; requests-d500 never reaches the threshold.
 _BLOCK_SHORTLIST = 96
 _BLOCK_BYTES = 2 << 20
 
@@ -389,22 +383,22 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
     """The selection loop of lazy and, with a k-batch pool, alg2.
 
     Each step takes the remaining item of largest complement (the smallest
-    id on ties) and stops when its gain is not positive.  Once the kept rows
-    fill ``_BLOCK_BYTES`` it first certifies a prefix of exact greedy's next
-    picks from ``RowState.shortlist`` of ``_BLOCK_SHORTLIST`` items
-    (``_certified_picks``).  With ``k`` set (alg2) it then draws a pool of
-    ``s`` k-batches (``_best_batch``) from the rest of that shortlist,
-    conditioned on the prefix; below the threshold, from
-    ``RowState.shortlist`` of 3k items.  The best batch is kept when it gains
-    more than any single item could after the prefix.  Prefix and batch are
-    accepted by one ``add_batch``, in that order, when they hold two or more
-    items or a batch; otherwise the step takes the single item.  The pool is
-    skipped where a batch would overshoot the budget, and so while fewer
-    than k items are left.  ``metrics`` counts ``certified_blocks``, the
-    updates that accepted a prefix, and their ``certified_items``; alg2's
-    also counts ``batch_steps``, the updates that accepted a batch, and
-    ``single_steps``, so k·batch_steps + single_steps + certified_items is
-    the size.
+    id on ties) and stops when its gain is not positive.  The block step
+    runs once the kept rows fill ``_BLOCK_BYTES`` and, with ``k`` set
+    (alg2), at every step with room for a k-batch in the budget: it
+    certifies a prefix of exact greedy's next picks from
+    ``RowState.shortlist`` of ``_BLOCK_SHORTLIST`` items
+    (``_certified_picks``), and alg2 then draws a pool of ``s`` k-batches
+    (``_best_batch``) from the rest of that shortlist, conditioned on the
+    prefix.  Prefix and batch are accepted by one ``add_batch``, in that
+    order, when they hold two or more items or a batch; otherwise the step
+    takes the single item.  The pool is skipped where a batch would
+    overshoot the budget, and so while fewer than k items are left; alg2
+    then steps exactly as lazy does.  ``metrics`` counts
+    ``certified_blocks``, the updates that accepted a prefix, and their
+    ``certified_items``; ``batch_steps``, the updates that accepted a batch
+    (always 0 for lazy); and ``single_steps``, so
+    k·batch_steps + single_steps + certified_items is the size.
     """
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
@@ -421,67 +415,59 @@ def _row_greedy(algorithm, L, budget, k=None, s=None, seed=0):
         if not schur[i] > 1.0:  # log gain <= 0
             stop = "nonpositive-gain"
             break
-        picks, batch = [], []
-        if 8 * state.size * d >= _BLOCK_BYTES:
+        t = state.size
+        if 8 * t * d >= _BLOCK_BYTES or (k is not None and t + k <= cap):
             top, S, bound = state.shortlist(_BLOCK_SHORTLIST)
-            picks, cols, left = _certified_picks(S, bound, cap - state.size)
-            # no item gains more than this after the picks
-            single = max(left.max(), bound, 1.0)
-        elif k is not None and state.size + k <= cap:  # cap <= d: k items remain
-            top, S, _ = state.shortlist(_SHORTLIST_PER_BATCH_ITEM * k)
-            cols, left, single = None, np.diag(S), schur[i]
-        if k is not None and state.size + len(picks) + k <= cap:
-            batch = _best_batch(state, top, S, cols, left, single, k, s, rng)
-        if len(picks) > 1 or len(batch):
-            state.add_batch(np.concatenate([top[picks], batch]))
-            blocks += bool(picks)
-            block_items += len(picks)
-            batch_steps += bool(len(batch))
-            continue
+            picks, cols, left = _certified_picks(S, bound, cap - t)
+            batch = []
+            if k is not None and t + len(picks) + k <= cap:
+                batch = _best_batch(state, top, S, cols, left, bound, k, s, rng)
+            if len(picks) > 1 or len(batch):
+                state.add_batch(np.concatenate([top[picks], batch]))
+                blocks += bool(picks)
+                block_items += len(picks)
+                batch_steps += bool(len(batch))
+                continue
         state.add(i)
         single_steps += 1
-    if k is None:
-        return _result(state, algorithm, stop, certified_blocks=blocks,
-                       certified_items=block_items)
     return _result(state, algorithm, stop, batch_steps=batch_steps, single_steps=single_steps,
                    certified_blocks=blocks, certified_items=block_items)
 
 
-def _best_batch(state, top, S, cols, left, single, k, s, rng):
+def _best_batch(state, top, S, cols, left, bound, k, s, rng):
     """The pool step of alg2: the best of ``s`` k-batches, or no item.
 
-    ``top`` and ``S`` are ``RowState.shortlist``'s.  ``left`` holds the
-    shortlist's complements, -inf at a certified prefix, and ``cols`` the
-    prefix's columns of S's factor (``_certified_picks``; None with no
-    prefix).  The batches are drawn by ``sample_batches`` from the 3k items
-    outside the prefix of largest ``left`` and priced exactly, as log dets
-    of their principal blocks of S conditioned on the prefix, all s by one
-    stacked Cholesky.  A batch is priced -inf where its pivot at item j is
-    not above sqrt(eps) L[j, j]: the subtraction has then cancelled over half
-    the digits of j's complement, which is rounding noise when j depends on
-    the rest of the batch and the selection.  Returns the items of the best
-    batch, the lexicographically smallest on ties, when it gains more than
-    log ``single``, and an empty array otherwise.  ``sample_batches`` is
-    looked up in this module at call time, where benchmark/tracing.py swaps
-    in a timed wrapper.
+    ``top``, ``S`` and ``bound`` are ``RowState.shortlist``'s; ``cols`` and
+    ``left`` are ``_certified_picks``' on them: the prefix's columns of S's
+    factor (none when nothing is certified) and the shortlist's complements
+    conditioned on the prefix, -inf at its picks.  The batches are drawn by
+    ``sample_batches`` from the 3k items outside the prefix of largest
+    ``left`` and priced exactly, as log dets of their principal blocks of S
+    conditioned on the prefix, all s by one stacked Cholesky.  A batch is
+    priced -inf where its pivot at item j is not above sqrt(eps) L[j, j]: the
+    subtraction has then cancelled over half the digits of j's complement,
+    which is rounding noise when j depends on the rest of the batch and the
+    selection.  Returns the items of the best batch, the lexicographically
+    smallest on ties, when it gains more than any single item could after the
+    prefix, log max(``left``, ``bound``, 1), and an empty array otherwise.
+    ``sample_batches`` is looked up in this module at call time, where
+    benchmark/tracing.py swaps in a timed wrapper.
     """
     cand = np.flatnonzero(left > -np.inf)
     if cand.size < k:
         return cand[:0]
     if cand.size > _SHORTLIST_PER_BATCH_ITEM * k:
         cand = cand[np.sort(_top_cut(left[cand], _SHORTLIST_PER_BATCH_ITEM * k))]
-    if cand.size < top.size:  # a cut or a prefix: S restricted to cand, conditioned
-        S = S[np.ix_(cand, cand)]
-        if cols is not None:
-            cc = cols[:, cand]
-            S = S - cc.T @ cc
-        top = top[cand]
+    cc = cols[:, cand]
+    S = S[np.ix_(cand, cand)] - cc.T @ cc
+    top = top[cand]
     pos = sample_batches(np.arange(top.size), k, s, rng)
     gains = _logdet_pd_many(S[pos[:, :, None], pos[:, None, :]],
                             _PIVOT_FLOOR * state.diag[top[pos]])[0]
     state.exact_evals += s
     best = gains.max()
-    if not best > np.log(single):
+    # no single item gains more than this after the prefix
+    if not best > np.log(max(left.max(), bound, 1.0)):
         return cand[:0]
     return top[list(min(map(tuple, pos[gains == best].tolist())))]
 
@@ -528,7 +514,8 @@ def lazy_greedy(L, budget=None):
     the shortlist (Minoux 1978), and accepts the prefix with one
     (p x t)(t x d) row-block update.  Selects the same sequence and stops for
     the same reason as ``exact_greedy``.  ``metrics`` counts
-    ``certified_blocks`` and the ``certified_items`` they accepted; a block
+    ``certified_blocks``, the ``certified_items`` they accepted and the
+    ``single_steps`` (``batch_steps`` is 0; see ``_row_greedy``); a block
     step adds the remaining items to ``exact_evals`` once, like a single
     step.
     """
@@ -675,21 +662,22 @@ def partitioned_greedy(L, budget=None, p=5, ell=20, seed=0):
 def batch_greedy(L, budget=None, k=10, s=50, seed=0):
     """Stochastic batch greedy on the shortlist, with exactly priced batches.
 
-    ``lazy_greedy`` plus a pool of ``s`` k-batches each step, drawn
-    uniformly from the 3k remaining items of largest gain and priced by
-    their exact joint gains from the kept rows.  The best batch is accepted
-    when it gains more than lazy's single pick, so late steps fall back to
-    single items when whole batches stop paying.  Where lazy certifies a
-    prefix of exact greedy's next picks, the pool is drawn from the rest of
-    lazy's shortlist, priced conditioned on the prefix, and its best batch
-    is appended to the prefix in the same row update when it gains more
-    than any single item could after the prefix.  This departs from Han et
-    al. (ICML 2017), who draw batches from all remaining items and price
-    them by a first-order estimate.  The pool is skipped while fewer than k
-    items are left or a batch would overshoot the budget.  Stops as lazy
-    does.  ``metrics`` counts ``batch_steps``, ``single_steps``,
-    ``certified_blocks`` and ``certified_items`` (see ``_row_greedy``);
-    ``gains`` holds one conditional gain per item.
+    Every step with room for a k-batch is ``lazy_greedy``'s block step plus
+    a pool: from lazy's shortlist of the ``_BLOCK_SHORTLIST`` items of
+    largest gain it takes the certified prefix of exact greedy's next picks,
+    draws ``s`` k-batches uniformly from the 3k items of the rest of the
+    shortlist with the largest gains conditioned on the prefix, and prices
+    them by their exact joint gains, conditioned on the prefix, from the
+    kept rows.  The best batch is appended to the prefix in the same row
+    update when it gains more than any single item could after the prefix,
+    so late steps fall back to lazy's picks when whole batches stop paying.
+    This departs from Han et al. (ICML 2017), who draw batches from all
+    remaining items and price them by a first-order estimate.  While fewer
+    than k items are left or a batch would overshoot the budget, it steps
+    exactly as lazy does.  Stops as lazy does.  ``metrics`` counts
+    ``batch_steps``, ``single_steps``, ``certified_blocks`` and
+    ``certified_items`` (see ``_row_greedy``); ``gains`` holds one
+    conditional gain per item.
     """
     if k < 1 or s < 1:
         raise ValueError(f"batch size and count must be positive, got k={k}, s={s}")

@@ -145,6 +145,14 @@ def test_verify_rejects_a_result_without_selected_or_log_det(tmp_path, capsys, m
             in capsys.readouterr().err)
 
 
+def test_verify_without_a_kernel_is_a_usage_error(tmp_path, capsys):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"selected": [0], "log_det": 0.0}))
+    assert main(["verify", str(result)]) == 1
+    assert ("dppmap: error: no kernel recorded in result; pass --kernel"
+            in capsys.readouterr().err)
+
+
 def test_verify_rejects_an_incomplete_synthetic_record(tmp_path, capsys):
     result = tmp_path / "result.json"
     assert main(["solve", "--dim", "20", "--budget", "3", "--json", str(result)]) == 0

@@ -393,6 +393,49 @@ def test_certified_blocks_make_exact_greedy_s_picks(data):
     assert lazy.metrics["certified_items"] <= lazy.size
 
 
+def _near_tie_kernel(data):
+    """L = A A^T with items in mirror pairs: each base row b of A has a copy
+    with its coordinates swapped in disjoint pairs, scaled by 1 + {0, +-1e-15,
+    3e-15}.  Swapping every pair maps L to itself up to those scales, so the
+    two items of a pair keep complements equal to rounding as the selection
+    grows, and either choice leads to mirror-image runs."""
+    seed = data.draw(st.integers(0, 2**16))
+    rng = substream(seed, "near-ties")
+    n = data.draw(st.integers(1, 20))
+    f = data.draw(st.integers(1, 12))
+    base = rng.standard_normal((n, f))
+    perm = rng.permutation(f)
+    a, b = perm[: f // 2], perm[f // 2 : 2 * (f // 2)]
+    mirror = np.arange(f)
+    mirror[a], mirror[b] = b, a
+    scale = 1.0 + rng.choice([0.0, 1e-15, -1e-15, 3e-15], size=(n, 1))
+    A = np.vstack([base, base[:, mirror] * scale])[rng.permutation(2 * n)]
+    return data.draw(st.sampled_from([1.0, 50.0])) * (A @ A.T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_lazy_and_exact_break_near_ties_alike_up_to_rounding(data):
+    # exact greedy and lazy (single picks, and the block step forced on)
+    # round complements differently, so where two complements agree only to
+    # rounding they may pick different items of a pair; such a pick gains
+    # what exact greedy's pick gains, and the run reaches the same log det
+    L = _near_tie_kernel(data)
+    budget = data.draw(st.sampled_from([None, data.draw(st.integers(1, L.shape[0]))]))
+    exact = exact_greedy(L, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        runs = {"lazy": lazy_greedy(L, budget)}
+        mp.setattr(greedy, "_BLOCK_BYTES", 0)
+        mp.setattr(greedy, "_BLOCK_SHORTLIST", data.draw(st.integers(1, 8)))
+        runs["block"] = lazy_greedy(L, budget)
+    tol = 1e-12
+    for name, res in runs.items():
+        assert abs(res.log_det - exact.log_det) <= tol * max(1.0, abs(exact.log_det)), name
+        if res.selected != exact.selected:
+            q = next(q for q, (a, b) in enumerate(zip(res.selected, exact.selected)) if a != b)
+            assert abs(res.gains[q] - exact.gains[q]) <= tol * max(1.0, abs(exact.gains[q])), name
+
+
 def test_lazy_certifies_blocks_at_the_default_threshold():
     # at d=1000 the rows reach 2 MiB at t = 263 of 350 picks
     L = kernel(1000, 0, shift=0.0)
@@ -461,6 +504,19 @@ def test_alg2_takes_more_items_per_row_update_than_lazy():
     assert alg2_updates < lazy_updates
     assert alg2.log_det >= 0.99 * lazy.log_det
     assert abs(sum(alg2.gains) - alg2.log_det) <= 1e-8
+
+
+def test_alg2_certifies_prefixes_on_a_requests_sized_kernel():
+    # far below the block threshold (30 rows of 500 items), alg2 still takes
+    # lazy's step: certified prefixes of exact greedy's picks, and its batch
+    # pool on the rest of the same shortlist
+    L = generate_synthetic_kernel(
+        SyntheticConfig(dim=500, seed=0, feature_dim=64, monotone_shift=1.01))
+    res = batch_greedy(L, 30, seed=0)
+    m = res.metrics
+    assert m["certified_blocks"] >= 1
+    assert 10 * m["batch_steps"] + m["single_steps"] + m["certified_items"] == res.size == 30
+    assert abs(sum(res.gains) - res.log_det) <= 1e-8
 
 
 def test_budget_validation():
@@ -796,9 +852,9 @@ def test_batch_greedy_respects_budget_with_batches():
     assert res.size <= 17
     assert res.stop_reason in ("budget", "nonpositive-gain", "exhausted")
     # batches never overshoot the budget, so the size is a multiple of
-    # accepted steps: check the counters add up
-    steps = res.metrics["batch_steps"] * 5 + res.metrics["single_steps"]
-    assert steps == res.size
+    # accepted steps plus the certified picks: check the counters add up
+    m = res.metrics
+    assert m["batch_steps"] * 5 + m["single_steps"] + m["certified_items"] == res.size
 
 
 def test_batch_greedy_refuses_a_batch_that_repeats_a_selected_direction():
