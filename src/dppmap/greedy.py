@@ -331,11 +331,21 @@ def brute_force_map(L, budget):
 
 
 def exact_greedy(L, budget=None):
-    """Plain greedy: every iteration scores all remaining candidates exactly."""
+    """Plain greedy: every iteration scores all remaining candidates exactly.
+
+    The textbook reference, with no state beyond the Cholesky factor T of
+    L[X, X]: each step prices every remaining item i as
+    log(L[i, i] - |T^-1 L[X, i]|^2), one triangular solve of the selection's
+    kernel rows against the remaining columns (``gain_many``), and appends
+    the winner to T with its column of that solve (``extend``).  The kernel
+    rows L[X, :] are copied into a buffer as items are picked, so a step
+    gathers its right-hand side from t contiguous rows.
+    """
     L = np.asarray(L, dtype=float)
     d = L.shape[0]
     cap = _check_budget(budget, d)
     factor = CholeskyFactor(cap)
+    krows = np.empty((cap, d))  # L[X, :], one row per selected item
     diag = np.diag(L)
     remaining = np.ones(d, dtype=bool)
     selected = []
@@ -343,8 +353,9 @@ def exact_greedy(L, budget=None):
     evals = 0
     stop = "budget" if budget is not None else "exhausted"
     while len(selected) < cap:  # cap <= d, so items remain
+        t = len(selected)
         rest = np.flatnonzero(remaining)
-        borders = L[np.ix_(selected, rest)]
+        borders = krows[:t].take(rest, axis=1)
         cand = factor.gain_many(borders, diag[rest])
         evals += int(rest.size)
         j = int(np.argmax(cand))  # first maximum = smallest index
@@ -352,7 +363,8 @@ def exact_greedy(L, budget=None):
             stop = "nonpositive-gain"
             break
         i = int(rest[j])
-        gains.append(factor.extend(borders[:, j] if selected else None, float(L[i, i])))
+        gains.append(factor.extend(borders[:, j], float(L[i, i])))
+        krows[t] = L[i]
         selected.append(i)
         remaining[i] = False
     return SelectionResult(algorithm="exact", selected=selected, gains=gains,

@@ -103,8 +103,9 @@ def generate_synthetic_kernel(config):
     x = substream(config.seed, "qualities").standard_normal(d)
     q = np.exp(config.quality_slope * x + config.quality_offset)
     a = q[:, None] * feats
+    # numpy computes a @ a.T with one syrk and mirrors its triangle, so L is
+    # exactly symmetric with no averaging pass (tests/test_kernel.py checks).
     L = a @ a.T
-    L = (L + L.T) / 2.0  # exact symmetry, gemm rounding is not symmetric
     if config.monotone_shift:
         L[np.diag_indices(d)] += config.monotone_shift
     return L

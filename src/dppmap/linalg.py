@@ -7,13 +7,16 @@ conjugate-gradient solver for one right-hand side, and the one-column bordered
 kernel whose last inverse column the CG reference of the averaged first-order
 gain estimate solves for.  Every Cholesky log det in the package is taken
 here: by ``CholeskyFactor`` (``from_matrix``/``cholesky_logdet`` and
-``extend``) or by ``_logdet_pd_many``.
+``extend``) or by ``_logdet_pd_many``.  Every triangular solve in the package
+is ``CholeskyFactor.solve_lower``: one BLAS ``dtrsm`` on row-major right-hand
+sides, for exact greedy's pricing and extension and for the row-block update
+of the row state (``RowState.add_batch``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
 __all__ = [
@@ -68,10 +71,20 @@ class CholeskyFactor:
         return self._buf[: self.order, : self.order]
 
     def solve_lower(self, b):
-        """Forward-substitute T x = b for the current factor."""
+        """Forward-substitute T x = b for the current factor; ``b`` is a (t,)
+        vector or a (t, n) matrix and is never overwritten.
+
+        One BLAS ``dtrsm`` solves X T^T = b^T on the column-major view of a
+        row-major ``b``, so a C-ordered ``b`` is read as it lies, with no
+        transposed copy, and the result comes back C-ordered.  A strided
+        ``b`` (a column view) is copied once by the BLAS wrapper.
+        """
+        b = np.asarray(b, dtype=float)
         if self.order == 0:
-            return np.zeros_like(np.asarray(b, dtype=float))
-        return solve_triangular(self.lower, b, lower=True, check_finite=False)
+            return np.zeros_like(b)
+        if b.ndim == 1:
+            return dtrsm(1.0, self.lower, b[None, :], side=1, lower=1, trans_a=1)[0]
+        return dtrsm(1.0, self.lower, b.T, side=1, lower=1, trans_a=1).T
 
     def gain(self, border, corner):
         """``gain_many`` of one column: log(corner - border^T A^-1 border),

@@ -56,10 +56,16 @@ def test_entries_match_direct_recomputation():
 
 
 def test_kernel_is_symmetric_positive_definite():
-    L = generate_synthetic_kernel(SyntheticConfig(dim=80, seed=1))
-    validate_kernel(L)
-    assert np.array_equal(L, L.T)
-    assert np.linalg.eigvalsh(L).min() > 1.0  # default shift 1.01 guarantees this
+    # The generator leaves symmetry to numpy's a @ a.T (one syrk, mirrored),
+    # so these shapes, most with fewer features than items and one odd, fail
+    # loudly if a numpy or BLAS change stops returning an exactly symmetric
+    # product.
+    for dim, feature_dim in [(80, None), (500, 64), (64, 16), (201, 33)]:
+        L = generate_synthetic_kernel(
+            SyntheticConfig(dim=dim, seed=1, feature_dim=feature_dim))
+        validate_kernel(L)
+        assert np.array_equal(L, L.T), (dim, feature_dim)
+        assert np.linalg.eigvalsh(L).min() > 1.0  # default shift 1.01 guarantees this
 
 
 def test_monotone_shift_translates_spectrum():

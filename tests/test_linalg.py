@@ -77,6 +77,39 @@ def test_extend_rejects_nonpositive_schur():
         empty.extend(None, 0.0)
 
 
+def _solve_lower_cases():
+    """A factor held in a larger buffer, and right-hand sides of each layout:
+    2-D C-ordered, 2-D strided, 1-D strided (a column view), 1-D contiguous."""
+    a = random_spd(9, substream(6, "spd"))
+    fac = CholeskyFactor.from_matrix(a, capacity=12)
+    wide = substream(7, "rhs").standard_normal((9, 40))
+    return fac, [wide, wide[:, ::3], wide[:, 4], wide[:, 4].copy()]
+
+
+def test_solve_lower_matches_a_dense_solve_for_every_layout():
+    fac, cases = _solve_lower_cases()
+    for b in cases:
+        x = fac.solve_lower(b)
+        ref = np.linalg.solve(fac.lower, b)
+        assert x.shape == b.shape
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_solve_lower_leaves_its_input_unchanged():
+    fac, cases = _solve_lower_cases()
+    for b in cases:
+        before = b.copy()
+        fac.solve_lower(b)
+        assert np.array_equal(b, before)
+
+
+def test_solve_lower_at_order_zero_returns_zeros_of_the_input_shape():
+    fac = CholeskyFactor(3)
+    for shape in [(0,), (0, 5)]:
+        x = fac.solve_lower(np.empty(shape))
+        assert x.shape == shape and not x.any()
+
+
 def test_extend_block_matches_sequential():
     a = random_spd(9, substream(2, "spd"))
     block = CholeskyFactor.from_matrix(a[:6, :6], capacity=9)
