@@ -6,8 +6,10 @@ speedups.  ``variance_study`` measures the variance reduction from sharing
 probe vectors between two log-determinant estimates against the analytic
 bound.  ``parameter_sweep`` varies one solver parameter with paired seeds.
 
-Timings cover the solver call only; kernel generation is outside the clock.
-The lazy baseline is warmed up on each kernel before it is timed.
+Every cell, the lazy baseline included, is timed by one rule: an untimed
+call, whose result the row reports, then timed calls until
+``_TIMING_FLOOR_S`` seconds have passed (at least one), whose median is the
+row's ``ms``.  Kernel generation is outside the clock.
 """
 
 import csv
@@ -71,7 +73,8 @@ CSV_COLUMNS = (
     "ratio", "ms", "speedup", "exact_evals",
 )
 
-_BASELINE_WARMUP_S = 0.25
+# Seconds of timed calls per cell, after its untimed warm-up call.
+_TIMING_FLOOR_S = 0.25
 
 
 @dataclass
@@ -96,7 +99,6 @@ class ExperimentConfig:
     quality_slope: float = SyntheticConfig.quality_slope
     quality_offset: float = SyntheticConfig.quality_offset
     monotone_shift: float = 0.0
-    repetitions: int = 1
 
     def __post_init__(self):
         if not self.dims:
@@ -107,8 +109,6 @@ class ExperimentConfig:
             raise ValueError("need at least one algorithm")
         for algo in self.algorithms:
             _check_algorithm(algo)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be positive")
         counts = {name: getattr(self, name) for name in _DEFAULTS}
         if self.budget is not None:
             counts["budget"] = self.budget
@@ -176,27 +176,21 @@ def _param_string(algo, config):
 
 
 def _timed_solve(algo, L, config, seed):
-    """Median wall time over repetitions; the result is deterministic per seed."""
-    times = []
-    result = None
-    for _ in range(config.repetitions):
-        start = time.perf_counter()
-        result = solve_with(algo, L, config, seed=seed)
-        times.append((time.perf_counter() - start) * 1000.0)
-    return result, float(np.median(times))
+    """The result of an untimed call, and the median ms of the timed calls
+    that follow it until ``_TIMING_FLOOR_S`` has passed (at least one).
 
-
-def _warm_up_baseline(L, config, seed):
-    """Untimed lazy calls for ``_BASELINE_WARMUP_S`` seconds (at least one).
-
-    The lazy baseline takes tens of milliseconds at d=1000, and its first
-    calls on a freshly built kernel ran up to twice as slow (two BLAS threads
-    on a 2-core host), which would inflate every speedup measured against it.
+    The first calls on a freshly built kernel ran up to twice as slow (two
+    BLAS threads on a 2-core host); the untimed call keeps them off the
+    clock.  Each result is deterministic per seed.
     """
+    result = solve_with(algo, L, config, seed=seed)
+    times = []
     start = time.perf_counter()
-    solve_with("lazy", L, config, seed=seed)
-    while time.perf_counter() - start < _BASELINE_WARMUP_S:
-        solve_with("lazy", L, config, seed=seed)
+    while not times or time.perf_counter() - start < _TIMING_FLOOR_S:
+        tick = time.perf_counter()
+        solve_with(algo, L, config, seed=seed)
+        times.append((time.perf_counter() - tick) * 1000.0)
+    return result, float(np.median(times))
 
 
 def _report(algo, seed, d, params, res, ms, base=None, base_ms=None):
@@ -228,7 +222,6 @@ def _paired_rows(config, cells, base_params, progress):
     for d in config.dims:
         for seed in config.seeds:
             L = generate_synthetic_kernel(config.kernel_config(d, seed))
-            _warm_up_baseline(L, config, seed)
             base, base_ms = _timed_solve("lazy", L, config, seed)
             emit(_report("lazy", seed, d, base_params, base, base_ms))
             for algo, cfg in cells:
@@ -294,13 +287,15 @@ def variance_study(trials=100, dim=40, draws=200, probe_count=20, degree=15,
                    delta=0.05, closeness=0.5, seed=0):
     """Shared vs independent probes on pairs of nearby matrices.
 
-    For each pair, ``draws`` repetitions estimate log det A - log det B
+    For each pair, each of ``draws`` rounds estimates log det A - log det B
     twice: once with one probe set used for both matrices, once with two
     independent sets (A's estimate is reused from the shared pair).  Reports
     the empirical variances next to the analytic shared-probe bound.  Needs
-    ``trials`` >= 1, ``draws`` >= 2, since a variance takes two draws, and
+    ``trials`` >= 1, ``draws`` >= 2, since a variance takes two draws,
     ``dim`` >= 2, since a 1-dimensional Rademacher probe squares to 1 and
-    leaves every estimate deterministic.
+    leaves every estimate deterministic, and ``closeness`` in [0, 1], since
+    above 1 the pair's spectra can leave [delta, 1 - delta], where the bound
+    no longer holds.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -308,6 +303,8 @@ def variance_study(trials=100, dim=40, draws=200, probe_count=20, degree=15,
         raise ValueError(f"dim must be at least 2 for a random probe, got {dim}")
     if draws < 2:
         raise ValueError(f"draws must be at least 2 for a variance, got {draws}")
+    if not 0.0 <= closeness <= 1.0:
+        raise ValueError(f"closeness must be in [0, 1], got {closeness}")
     expansion = chebyshev_coefficients(degree, delta)
     rng_pair = substream(seed, "variance-pairs")
     rng_probe = substream(seed, "probes")

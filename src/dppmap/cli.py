@@ -111,7 +111,6 @@ def _add_table_flags(sub, dim, seed):
     """The flags ``bench`` and ``sweep`` share: kernel grid, solver, output."""
     _add_kernel_flags(sub, seed, dim)
     _add_solver_flags(sub)
-    sub.add_argument("--repeats", type=int, default=1, help="timing repetitions (median)")
     sub.add_argument("--out", default=None, help="CSV output path")
     sub.add_argument("--json", default=None, help="JSON output path")
 
@@ -301,8 +300,7 @@ def _progress_printer(row):
 
 def _bench_config(args, algorithms):
     return _experiment_config(args, dims=tuple(args.dim), seeds=tuple(args.seed),
-                              algorithms=algorithms, repetitions=args.repeats,
-                              **_kernel_fields(vars(args)))
+                              algorithms=algorithms, **_kernel_fields(vars(args)))
 
 
 def _write_tables(rows, config, args):
@@ -326,8 +324,7 @@ def _cmd_bench(args):
     config = _bench_config(args, algorithms)
     _echo("bench", {"dims": list(config.dims), "seeds": list(config.seeds),
                     "algos": list(algorithms), **_solver_params(config),
-                    "shift": config.monotone_shift,
-                    "repeats": config.repetitions})
+                    "shift": config.monotone_shift})
     return _write_tables(run_comparison(config, progress=_progress_printer), config, args)
 
 

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import dppmap.bench
 from dppmap.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -30,8 +32,6 @@ def test_config_validation():
         ExperimentConfig(algorithms=())
     with pytest.raises(ValueError):
         ExperimentConfig(algorithms=("lazy", "newton"))
-    with pytest.raises(ValueError):
-        ExperimentConfig(repetitions=0)
     for name in ("budget", "p", "k", "s", "ell"):
         for value in (0, -3):
             with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
@@ -60,6 +60,30 @@ def test_comparison_is_deterministic_apart_from_timing():
         assert a.logdet == b.logdet
         assert a.ratio == b.ratio
         assert a.set_size == b.set_size
+
+
+def test_every_cell_is_warmed_and_timed_alike(monkeypatch):
+    # with no floor, each cell makes one untimed call and one timed call,
+    # the lazy baseline the same as every other solver
+    calls = Counter()
+    solve = dppmap.bench.solve_with
+
+    def recording(algo, L, config, seed=0):
+        calls[algo, L.shape[0], seed, config.k] += 1
+        return solve(algo, L, config, seed=seed)
+
+    monkeypatch.setattr(dppmap.bench, "_TIMING_FLOOR_S", 0.0)
+    monkeypatch.setattr(dppmap.bench, "solve_with", recording)
+    config = ExperimentConfig(dims=(30, 40), seeds=(0, 1),
+                              algorithms=("exact", "lazy", "alg1", "alg2"))
+    run_comparison(config)
+    assert calls == {(algo, d, seed, config.k): 2 for algo in config.algorithms
+                     for d in config.dims for seed in config.seeds}
+    calls.clear()
+    parameter_sweep(config, "k", (1, 3))
+    assert calls == {(algo, d, seed, k): 2 for algo, k in
+                     (("lazy", config.k), ("alg2", 1), ("alg2", 3))
+                     for d in config.dims for seed in config.seeds}
 
 
 def test_reported_logdet_matches_reported_selection():
@@ -148,6 +172,22 @@ def test_variance_study_rejects_too_few_trials_or_draws(trials, draws, dim):
     with pytest.raises(ValueError, match="trials must be positive|draws must be at least 2"
                                          "|dim must be at least 2"):
         variance_study(trials=trials, dim=dim, draws=draws)
+
+
+@pytest.mark.parametrize("closeness", [-0.1, 1.01, 2.0, 5.0])
+def test_variance_study_rejects_closeness_outside_the_unit_interval(closeness):
+    # above 1 a pair's spectra can leave [delta, 1 - delta], the bound's premise
+    with pytest.raises(ValueError, match=r"closeness must be in \[0, 1\]"):
+        variance_study(trials=1, dim=4, draws=2, closeness=closeness)
+
+
+def test_banded_pairs_stay_in_the_band_up_to_closeness_one():
+    rng = np.random.default_rng(0)
+    delta = 0.05
+    for _ in range(200):
+        for matrix in dppmap.bench._banded_pair(2, delta, 1.0, rng):
+            eigs = np.linalg.eigvalsh(matrix)
+            assert delta <= eigs[0] and eigs[-1] <= 1.0 - delta
 
 
 def test_variance_study_identical_pair_has_zero_shared_variance(tmp_path):

@@ -266,11 +266,20 @@ def test_solver_default_copies_match_the_solvers(tmp_path):
     (["sweep", "k", "2,0", "--dim", "20"], "k must be positive, got 0"),
     (["sweep", "p", "1", "--dim", "20", "--p", "3"], "--p is the swept parameter"),
     (["sweep", "k", "1", "--dim", "20", "--k", "3"], "--k is the swept parameter"),
-], ids=["bench-p", "bench-s", "solve-budget", "sweep-value", "sweep-p", "sweep-k"])
+    (["bench", "--algo", "lazy", "--dim", "20", "--repeats", "2"],
+     "unrecognized arguments: --repeats 2"),
+    (["sweep", "p", "1", "--dim", "20", "--repeats", "2"],
+     "unrecognized arguments: --repeats 2"),
+], ids=["bench-p", "bench-s", "solve-budget", "sweep-value", "sweep-p", "sweep-k",
+        "bench-repeats", "sweep-repeats"])
 def test_bad_solver_fields_are_usage_errors(capsys, argv, message):
-    # caught by ExperimentConfig, or for a swept parameter's flag by sweep,
-    # before any solver runs
-    assert main(argv) == 1
+    # caught by ExperimentConfig, for a swept parameter's flag by sweep, or for
+    # a flag that bench and sweep do not take by the parser, before any solver runs
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
     captured = capsys.readouterr()
     assert f"dppmap: error: {message}" in captured.err
     assert "logdet=" not in captured.out
