@@ -8,7 +8,9 @@ names its solver in the message.
 ``--threads``, before or after the subcommand (the last one given wins), is
 applied to the BLAS thread-count environment variables before numpy is
 imported: nothing imports numpy until the arguments are parsed, and the heavy
-imports happen inside the handlers.
+imports happen inside the handlers.  When ``main`` runs in a process that has
+already loaded numpy, the count can no longer take effect, so ``main`` exits 1
+unless every variable already holds it.
 """
 
 import argparse
@@ -50,7 +52,7 @@ def _thread_count(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"thread count must be positive, got {value}")
-    return value
+    return str(value)
 
 
 # Solver flags, in echo order.  Unset, each takes ExperimentConfig's default,
@@ -463,10 +465,12 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.threads is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
+        if "numpy" in sys.modules and any(os.environ.get(v) != args.threads for v in _THREAD_VARS):
+            parser.error(f"--threads {args.threads} cannot be applied: numpy is already loaded")
+        os.environ.update(dict.fromkeys(_THREAD_VARS, args.threads))
     try:
         return _HANDLERS[args.command](args)
     except SystemExit:

@@ -45,6 +45,7 @@ from .linalg import (
     border_average,
     bordered_inverse_columns,
     cholesky_logdet,
+    solve_lower,
 )
 
 # Not called here: benchmark/tracing.py wraps these names in this module's
@@ -184,8 +185,9 @@ class RowState:
         """Accept ``items`` jointly, in order; returns the joint gain log det S.
 
         S = L[B, B] - R_B^T R_B is the batch's Schur complement, C its
-        Cholesky factor, and the k new rows are C^-1 (L[B, :] - R_B^T R): one
-        (k x t)(t x d) product, the same rows, complements and log det as k
+        Cholesky factor (``cholesky_logdet``'s array), and the k new rows are
+        C^-1 (L[B, :] - R_B^T R), one ``solve_lower`` after one
+        (k x t)(t x d) product: the same rows, complements and log det as k
         calls to ``add``.  Each item's gain, 2 log C[j, j], is its gain
         conditioned on the items before it, so one gain is kept per item.
         """
@@ -199,11 +201,11 @@ class RowState:
             raise np.linalg.LinAlgError(
                 f"batch {items} at step {len(self.gains)}: Schur complement against "
                 f"{t} selected items is not positive definite") from exc
-        e = c.solve_lower(self.L[items] - rb.T @ R)
+        e = solve_lower(c, self.L[items] - rb.T @ R)
         self.rows[t : t + len(items)] = e
         self.schur -= np.einsum("kd,kd->d", e, e)
         self.selected.extend(items)
-        self.gains.extend((2.0 * np.log(np.diag(c.lower))).tolist())
+        self.gains.extend((2.0 * np.log(np.diag(c))).tolist())
         self.log_det += g
         self.remaining[items] = False
         return g
@@ -290,10 +292,10 @@ def _check_budget(budget, d):
 def brute_force_map(L, budget):
     """Exact MAP over all subsets of size <= budget by enumeration.
 
-    Subsets are scored by ``slogdet``.  One that would become the best counts
-    only when its Cholesky factor exists, since a positive determinant alone
-    admits indefinite subsets of an indefinite kernel; the winner's per-item
-    gains, 2 log of its factor's diagonal, come from that factor.  Ties go to
+    Subsets are scored by ``cholesky_logdet``, and one whose Cholesky factor
+    does not exist is skipped, since a positive determinant alone admits
+    indefinite subsets of an indefinite kernel; the winner's per-item gains,
+    2 log of its factor's diagonal, come from that factor.  Ties go to
     the set found first in size-then-lexicographic order (so the empty set
     beats any zero-gain singleton).  Refuses enumerations larger than ten
     million subsets.
@@ -310,16 +312,14 @@ def brute_force_map(L, budget):
     evals = 0
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(d), size):
-            sub = L[np.ix_(combo, combo)]
-            sign, ld = np.linalg.slogdet(sub)
             evals += 1
-            if sign > 0 and ld > best_ld:
-                try:
-                    fac = cholesky_logdet(sub)[1]
-                except np.linalg.LinAlgError:
-                    continue
+            try:
+                ld, fac = cholesky_logdet(L[np.ix_(combo, combo)])
+            except np.linalg.LinAlgError:
+                continue
+            if ld > best_ld:
                 best_ld, best = ld, combo
-                best_gains = (2.0 * np.log(np.diag(fac.lower))).tolist()
+                best_gains = (2.0 * np.log(np.diag(fac))).tolist()
     return SelectionResult(
         algorithm="brute",
         selected=list(best),

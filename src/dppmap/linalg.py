@@ -1,16 +1,17 @@
 """Dense linear algebra for greedy log-determinant maximization.
 
-Provides an incrementally growing Cholesky factor (one row per accepted item)
-with the Schur-complement gains it prices, the stacked log det
-``_logdet_pd_many`` of an (n, k, k) stack of small matrices, a
-conjugate-gradient solver for one right-hand side, and the one-column bordered
-kernel whose last inverse column the CG reference of the averaged first-order
-gain estimate solves for.  Every Cholesky log det in the package is taken
-here: by ``CholeskyFactor`` (``from_matrix``/``cholesky_logdet`` and
-``extend``) or by ``_logdet_pd_many``.  Every triangular solve in the package
-is ``CholeskyFactor.solve_lower``: one BLAS ``dtrsm`` on row-major right-hand
-sides, for exact greedy's pricing and extension and for the row-block update
-of the row state (``RowState.add_batch``).
+Provides exact greedy's Cholesky factor, grown one row per accepted item,
+with the Schur-complement gains it prices; the one-shot factor
+``cholesky_logdet``, which returns LAPACK's lower factor as it comes; the
+stacked log det ``_logdet_pd_many`` of an (n, k, k) stack of small matrices;
+a conjugate-gradient solver for one right-hand side; and the one-column
+bordered kernel whose last inverse column the CG reference of the averaged
+first-order gain estimate solves for.  Every Cholesky log det in the package
+is taken here: by ``cholesky_logdet``, by ``CholeskyFactor.extend`` or by
+``_logdet_pd_many``.  Every triangular solve in the package is
+``solve_lower``: one BLAS ``dtrsm`` on row-major right-hand sides, for exact
+greedy's pricing and extension and for the row-block update of the row state
+(``RowState.add_batch``).
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "CgReport",
     "BorderedKernel",
     "cholesky_logdet",
+    "solve_lower",
     "cg_solve",
     "border_average",
     "bordered_inverse_columns",
@@ -33,7 +35,9 @@ __all__ = [
 class CholeskyFactor:
     """Lower-triangular factor of a principal submatrix, grown column by column.
 
-    The factor lives in a preallocated buffer so appending a row never
+    This is exact greedy's factor of L[X, X], one row per pick; a one-shot
+    factor of a whole matrix is ``cholesky_logdet``'s array instead.  The
+    factor lives in a preallocated buffer so appending a row never
     reallocates.  ``log_det`` accumulates the log-determinant as the exact sum
     of the per-extension gains, which is what the telescoping identity checks.
     """
@@ -45,46 +49,10 @@ class CholeskyFactor:
         self.order = 0
         self.log_det = 0.0
 
-    @classmethod
-    def from_matrix(cls, a, capacity=None):
-        """Factor a full SPD matrix. Raises LinAlgError naming the bad pivot."""
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        fac = cls(max(n, capacity or n))
-        if n == 0:
-            return fac
-        c, info = dpotrf(a, lower=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"matrix is not positive definite (failing pivot {info - 1})"
-            )
-        if info < 0:
-            raise np.linalg.LinAlgError(f"illegal value in Cholesky argument {-info}")
-        fac._buf[:n, :n] = np.tril(c)
-        fac.order = n
-        fac.log_det = float(2.0 * np.sum(np.log(np.diag(c))))
-        return fac
-
     @property
     def lower(self):
         """View of the current lower-triangular factor."""
         return self._buf[: self.order, : self.order]
-
-    def solve_lower(self, b):
-        """Forward-substitute T x = b for the current factor; ``b`` is a (t,)
-        vector or a (t, n) matrix and is never overwritten.
-
-        One BLAS ``dtrsm`` solves X T^T = b^T on the column-major view of a
-        row-major ``b``, so a C-ordered ``b`` is read as it lies, with no
-        transposed copy, and the result comes back C-ordered.  A strided
-        ``b`` (a column view) is copied once by the BLAS wrapper.
-        """
-        b = np.asarray(b, dtype=float)
-        if self.order == 0:
-            return np.zeros_like(b)
-        if b.ndim == 1:
-            return dtrsm(1.0, self.lower, b[None, :], side=1, lower=1, trans_a=1)[0]
-        return dtrsm(1.0, self.lower, b.T, side=1, lower=1, trans_a=1).T
 
     def gain(self, border, corner):
         """``gain_many`` of one column: log(corner - border^T A^-1 border),
@@ -97,7 +65,7 @@ class CholeskyFactor:
         corners = np.asarray(corners, dtype=float)
         if self.order == 0:
             return _log_positive(corners)
-        w = self.solve_lower(borders)
+        w = solve_lower(self.lower, borders)
         return _log_positive(corners - np.einsum("ij,ij->j", w, w))
 
     def gain_block_many(self, borders, corners):
@@ -110,7 +78,7 @@ class CholeskyFactor:
         """
         corners = np.asarray(corners, dtype=float)
         t, nb, k = self.order, *corners.shape[:2]
-        w = self.solve_lower(np.reshape(borders, (t, nb * k))).reshape(t, nb, k)
+        w = solve_lower(self.lower, np.reshape(borders, (t, nb * k))).reshape(t, nb, k)
         return _logdet_pd_many(corners - np.einsum("tbi,tbj->bij", w, w))[0]
 
     def extend(self, border, corner):
@@ -119,7 +87,7 @@ class CholeskyFactor:
         if t >= self._buf.shape[0]:
             raise ValueError("factor capacity exhausted")
         if t:
-            w = self.solve_lower(border)
+            w = solve_lower(self.lower, border)
             s = corner - w @ w
             if s <= 0:
                 raise np.linalg.LinAlgError(
@@ -155,9 +123,37 @@ class CholeskyFactor:
 
 
 def cholesky_logdet(a):
-    """Return (log det a, CholeskyFactor) for SPD ``a``; 0x0 input gives 0."""
-    fac = CholeskyFactor.from_matrix(a)
-    return fac.log_det, fac
+    """Return (log det a, T) for SPD ``a``, T its lower Cholesky factor as
+    LAPACK's Fortran-ordered array (upper triangle zero); 0x0 input gives 0.
+
+    Raises LinAlgError naming the failing pivot.
+    """
+    c, info = dpotrf(np.asarray(a, dtype=float), lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"matrix is not positive definite (failing pivot {info - 1})"
+        )
+    if info < 0:
+        raise np.linalg.LinAlgError(f"illegal value in Cholesky argument {-info}")
+    return float(2.0 * np.sum(np.log(np.diag(c)))), c
+
+
+def solve_lower(lower, b):
+    """Forward-substitute T x = b for a lower-triangular ``lower``; ``b`` is a
+    (t,) vector or a (t, n) matrix and is never overwritten.
+
+    One BLAS ``dtrsm`` solves X T^T = b^T on the column-major view of a
+    row-major ``b``, so a C-ordered ``b`` is read as it lies, with no
+    transposed copy, and the result comes back C-ordered.  A strided ``b``
+    (a column view), or a ``lower`` that is not Fortran-ordered, is copied
+    once by the BLAS wrapper.
+    """
+    b = np.asarray(b, dtype=float)
+    if lower.shape[0] == 0:
+        return np.zeros_like(b)
+    if b.ndim == 1:
+        return dtrsm(1.0, lower, b[None, :], side=1, lower=1, trans_a=1)[0]
+    return dtrsm(1.0, lower, b.T, side=1, lower=1, trans_a=1).T
 
 
 def _log_positive(s):
@@ -185,7 +181,7 @@ def _logdet_pd_many(stack, floors=None):
         for b, s in enumerate(stack):
             c, info = dpotrf(s, lower=1)
             bad[b] = info != 0
-            factors[b] = np.eye(s.shape[0]) if bad[b] else np.tril(c)
+            factors[b] = np.eye(s.shape[0]) if bad[b] else c
     pivots = np.diagonal(factors, axis1=1, axis2=2)
     if floors is not None:
         bad |= ~(pivots**2 > floors).all(axis=1)

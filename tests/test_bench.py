@@ -50,6 +50,7 @@ def test_lazy_baseline_anchors_itself():
         assert row.error == ""
 
 
+@pytest.mark.usefixtures("no_timing_floor")
 def test_comparison_is_deterministic_apart_from_timing():
     config = ExperimentConfig(dims=(50,), seeds=(2,), algorithms=("lazy", "alg1"))
     first = run_comparison(config)
@@ -86,6 +87,7 @@ def test_every_cell_is_warmed_and_timed_alike(monkeypatch):
                      for d in config.dims for seed in config.seeds}
 
 
+@pytest.mark.usefixtures("no_timing_floor")
 def test_reported_logdet_matches_reported_selection():
     config = ExperimentConfig(dims=(60,), seeds=(0, 3),
                               algorithms=("lazy", "alg1", "alg2"))
@@ -96,6 +98,7 @@ def test_reported_logdet_matches_reported_selection():
         assert row.set_size == len(row.selected)
 
 
+@pytest.mark.usefixtures("no_timing_floor")
 def test_failing_cell_is_recorded_and_run_continues():
     config = ExperimentConfig(dims=(30,), seeds=(0, 1), algorithms=("brute",))
     rows = run_comparison(config)  # 2^30 subsets: refused, but not fatal
@@ -117,6 +120,7 @@ def test_solve_with_dispatch():
         solve_with("newton", L, config)
 
 
+@pytest.mark.usefixtures("no_timing_floor")
 def test_parameter_sweep_shapes_and_labels():
     config = ExperimentConfig(dims=(30,), seeds=(0, 1), algorithms=("lazy",))
     rows = parameter_sweep(config, "p", (1, 2))
@@ -131,6 +135,7 @@ def test_parameter_sweep_shapes_and_labels():
         parameter_sweep(config, "p", [])
 
 
+@pytest.mark.usefixtures("no_timing_floor")
 def test_writers_round_trip(tmp_path):
     config = ExperimentConfig(dims=(30,), seeds=(0,), algorithms=("lazy", "alg1"))
     rows = run_comparison(config)

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from dppmap.bench import CSV_COLUMNS, SOLVERS, SWEEPS, ExperimentConfig
-from dppmap.cli import build_parser, main
+from dppmap.cli import _THREAD_VARS, build_parser, main
 from dppmap.greedy import batch_greedy, partitioned_greedy
 
 
@@ -57,6 +57,28 @@ def test_threads_flag_is_applied_before_numpy_loads():
         lines = proc.stdout.splitlines()
         assert lines[0] == "numpy loaded by import: False"
         assert lines[-1] == "exit 0 threads at numpy import ['1']", argv
+
+
+def test_threads_flag_cannot_be_applied_once_numpy_is_loaded(monkeypatch, capsys):
+    # numpy is loaded in this process, so setting the variables would not
+    # change its thread count; cleared or set to another count, main refuses
+    for preset in (None, "2"):
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if preset:
+            monkeypatch.setenv(_THREAD_VARS[-1], preset)
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "1", "solve", "--dim", "8", "--budget", "2"])
+        assert exc.value.code == 1
+        assert "dppmap: error: --threads 1 cannot be applied" in capsys.readouterr().err
+        assert os.environ.get(_THREAD_VARS[0]) is None
+
+
+def test_threads_flag_already_in_force_runs_in_process(monkeypatch, capsys):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    assert main(["solve", "--dim", "8", "--budget", "2", "--threads", "1"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_gen_solve_verify_chain(tmp_path):
@@ -245,6 +267,7 @@ def _resolved_configs(tmp_path, flags):
     return resolved
 
 
+@pytest.mark.usefixtures("no_timing_floor")
 def test_solver_default_copies_match_the_solvers(tmp_path):
     # unset solver flags resolve, through ExperimentConfig, to the solvers' defaults
     alg1 = inspect.signature(partitioned_greedy).parameters
@@ -454,6 +477,7 @@ def test_unknown_flag_exits_one():
             assert exc.value.code == 1
 
 
+@pytest.mark.usefixtures("no_timing_floor")
 def test_bench_subcommand_writes_outputs(tmp_path):
     out_csv = tmp_path / "bench.csv"
     out_json = tmp_path / "bench.json"
@@ -475,6 +499,7 @@ def test_sweep_rejects_an_empty_value_list(capsys):
     assert "lazy" not in captured.out
 
 
+@pytest.mark.usefixtures("no_timing_floor")
 def test_sweep_subcommand(tmp_path):
     out_csv = tmp_path / "sweep.csv"
     assert main(["sweep", "p", "1,2", "--dim", "30", "--seed", "0",

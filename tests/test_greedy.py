@@ -39,6 +39,16 @@ def test_brute_force_diagonal():
     assert np.allclose(res.gains, np.log([2.0, 3.0]), rtol=0, atol=1e-12)
 
 
+def test_brute_force_skips_a_positive_determinant_that_is_not_positive_definite():
+    # L[{0, 1}] has determinant 6 but no Cholesky factor; {2} is the best
+    # positive definite subset
+    res = brute_force_map(np.diag([-2.0, -3.0, 1.5]), budget=3)
+    assert res.selected == [2]
+    assert len(res.gains) == 1
+    assert abs(sum(res.gains) - np.log(1.5)) <= 1e-12
+    assert abs(res.log_det - np.log(1.5)) <= 1e-12
+
+
 def test_brute_force_identity_keeps_empty_set():
     res = brute_force_map(np.eye(4), budget=4)
     assert res.selected == []
@@ -564,11 +574,13 @@ def test_balanced_partition_properties():
 
 def _rows_and_factor(L, prefix):
     """A RowState on the selection ``prefix`` and the reference Cholesky
-    factor of L[prefix, prefix]."""
+    factor of L[prefix, prefix], grown by ``extend`` item by item."""
     rows = RowState(L, L.shape[0])
-    for i in prefix:
+    factor = CholeskyFactor(len(prefix))
+    for t, i in enumerate(prefix):
         rows.add(i)
-    return rows, CholeskyFactor.from_matrix(L[np.ix_(prefix, prefix)])
+        factor.extend(L[list(prefix[:t]), i], L[i, i])
+    return rows, factor
 
 
 def test_first_order_exact_for_singleton_partitions():
@@ -928,7 +940,7 @@ def test_stacked_logdet_matches_the_per_matrix_factor():
         for s, log_det, factor in zip(stack, log_dets, factors):
             ref, c = cholesky_logdet(s)
             assert abs(log_det - ref) <= 1e-12
-            assert np.abs(factor - c.lower).max() <= 1e-12 * np.abs(c.lower).max()
+            assert np.abs(factor - c).max() <= 1e-12 * np.abs(c).max()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

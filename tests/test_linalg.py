@@ -12,6 +12,7 @@ from dppmap.linalg import (
     bordered_inverse_columns,
     cg_solve,
     cholesky_logdet,
+    solve_lower,
 )
 
 
@@ -19,6 +20,15 @@ def random_spd(dim, rng, lo=0.5, hi=5.0):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     a = (q * rng.uniform(lo, hi, size=dim)) @ q.T
     return (a + a.T) / 2.0
+
+
+def grown(a, capacity=None):
+    """A CholeskyFactor of SPD ``a`` grown by ``extend``, one row per item, in
+    a buffer of ``capacity`` rows (default: the order of ``a``)."""
+    fac = CholeskyFactor(capacity or a.shape[0])
+    for t in range(a.shape[0]):
+        fac.extend(a[:t, t], a[t, t])
+    return fac
 
 
 def test_cholesky_logdet_identity():
@@ -43,6 +53,15 @@ def test_cholesky_logdet_rejects_indefinite():
         cholesky_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_cholesky_logdet_returns_lapacks_lower_factor():
+    a = random_spd(9, substream(6, "spd"))
+    ld, c = cholesky_logdet(a)
+    assert c.flags.f_contiguous and not np.triu(c, 1).any()
+    assert np.abs(c - np.linalg.cholesky(a)).max() <= 1e-12
+    assert ld == 2.0 * np.sum(np.log(np.diag(c)))
+    assert cholesky_logdet(np.zeros((0, 0)))[0] == 0.0
+
+
 def test_extend_empty_factor():
     fac = CholeskyFactor(1)
     gain = fac.extend(None, 2.5)
@@ -51,7 +70,7 @@ def test_extend_empty_factor():
 
 
 def test_extend_two_by_two():
-    fac = CholeskyFactor.from_matrix(np.array([[2.0]]), capacity=2)
+    fac = grown(np.array([[2.0]]), capacity=2)
     gain = fac.extend(np.array([1.0]), 2.0)
     assert abs(fac.log_det - np.log(3.0)) <= 1e-12
     assert abs(gain - np.log(1.5)) <= 1e-12
@@ -69,7 +88,7 @@ def test_thirty_sequential_extensions():
 
 
 def test_extend_rejects_nonpositive_schur():
-    fac = CholeskyFactor.from_matrix(np.array([[1.0]]), capacity=2)
+    fac = grown(np.array([[1.0]]), capacity=2)
     with pytest.raises(np.linalg.LinAlgError):
         fac.extend(np.array([2.0]), 1.0)  # Schur complement 1 - 4 < 0
     empty = CholeskyFactor(1)
@@ -78,54 +97,60 @@ def test_extend_rejects_nonpositive_schur():
 
 
 def _solve_lower_cases():
-    """A factor held in a larger buffer, and right-hand sides of each layout:
-    2-D C-ordered, 2-D strided, 1-D strided (a column view), 1-D contiguous."""
+    """Two factors of one matrix, and right-hand sides of each layout.
+
+    The factors are a grown factor held in a larger buffer (a C-ordered
+    strided view) and ``cholesky_logdet``'s Fortran-ordered array; the
+    right-hand sides are 2-D C-ordered, 2-D strided, 1-D strided (a column
+    view) and 1-D contiguous.
+    """
     a = random_spd(9, substream(6, "spd"))
-    fac = CholeskyFactor.from_matrix(a, capacity=12)
+    factors = [grown(a, capacity=12).lower, cholesky_logdet(a)[1]]
     wide = substream(7, "rhs").standard_normal((9, 40))
-    return fac, [wide, wide[:, ::3], wide[:, 4], wide[:, 4].copy()]
+    return factors, [wide, wide[:, ::3], wide[:, 4], wide[:, 4].copy()]
 
 
 def test_solve_lower_matches_a_dense_solve_for_every_layout():
-    fac, cases = _solve_lower_cases()
-    for b in cases:
-        x = fac.solve_lower(b)
-        ref = np.linalg.solve(fac.lower, b)
-        assert x.shape == b.shape
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    factors, cases = _solve_lower_cases()
+    for lower in factors:
+        for b in cases:
+            x = solve_lower(lower, b)
+            ref = np.linalg.solve(lower, b)
+            assert x.shape == b.shape
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_solve_lower_leaves_its_input_unchanged():
-    fac, cases = _solve_lower_cases()
-    for b in cases:
-        before = b.copy()
-        fac.solve_lower(b)
-        assert np.array_equal(b, before)
+    factors, cases = _solve_lower_cases()
+    for lower in factors:
+        for b in cases:
+            before = b.copy()
+            solve_lower(lower, b)
+            assert np.array_equal(b, before)
 
 
 def test_solve_lower_at_order_zero_returns_zeros_of_the_input_shape():
-    fac = CholeskyFactor(3)
     for shape in [(0,), (0, 5)]:
-        x = fac.solve_lower(np.empty(shape))
+        x = solve_lower(CholeskyFactor(3).lower, np.empty(shape))
         assert x.shape == shape and not x.any()
 
 
 def test_extend_block_matches_sequential():
     a = random_spd(9, substream(2, "spd"))
-    block = CholeskyFactor.from_matrix(a[:6, :6], capacity=9)
+    block = grown(a[:6, :6], capacity=9)
     gain_blk = block.extend_block(a[:6, 6:], a[6:, 6:])
-    full = CholeskyFactor.from_matrix(a)
-    assert abs(gain_blk - (full.log_det - cholesky_logdet(a[:6, :6])[0])) <= 1e-10
-    assert abs(block.log_det - full.log_det) <= 1e-10
-    assert np.allclose(block.lower, full.lower, atol=1e-10)
+    full_ld, full = cholesky_logdet(a)
+    assert abs(gain_blk - (full_ld - cholesky_logdet(a[:6, :6])[0])) <= 1e-10
+    assert abs(block.log_det - full_ld) <= 1e-10
+    assert np.allclose(block.lower, full, atol=1e-10)
     empty = CholeskyFactor(3)
     empty.extend_block(None, a[:3, :3])
-    assert np.allclose(empty.lower, CholeskyFactor.from_matrix(a[:3, :3]).lower, atol=1e-12)
+    assert np.allclose(empty.lower, cholesky_logdet(a[:3, :3])[1], atol=1e-12)
 
 
 def test_failed_extend_block_leaves_the_factor_as_it_was():
     a = random_spd(7, substream(7, "spd"))
-    fac = CholeskyFactor.from_matrix(a[:4, :4], capacity=7)
+    fac = grown(a[:4, :4], capacity=7)
     lower, log_det = fac.lower.copy(), fac.log_det
     # the block's first column is valid, but its coupling to the second makes
     # the 2 x 2 Schur complement indefinite
@@ -138,9 +163,9 @@ def test_failed_extend_block_leaves_the_factor_as_it_was():
     assert np.array_equal(fac.lower, lower)
     fac.extend(a[:4, 4], a[4, 4])
     assert abs(fac.log_det - cholesky_logdet(a[:5, :5])[0]) <= 1e-10
-    assert np.allclose(fac.lower, CholeskyFactor.from_matrix(a[:5, :5]).lower, atol=1e-12)
+    assert np.allclose(fac.lower, cholesky_logdet(a[:5, :5])[1], atol=1e-12)
     # a block that overruns the capacity after its first column is undone too
-    full = CholeskyFactor.from_matrix(a[:5, :5], capacity=6)
+    full = grown(a[:5, :5], capacity=6)
     with pytest.raises(ValueError, match="capacity"):
         full.extend_block(a[:5, 5:], a[5:, 5:])
     assert (full.order, full.log_det) == (5, fac.log_det)
@@ -148,7 +173,7 @@ def test_failed_extend_block_leaves_the_factor_as_it_was():
 
 def test_gain_and_gain_many_agree():
     a = random_spd(12, substream(3, "spd"))
-    fac = CholeskyFactor.from_matrix(a[:5, :5])
+    fac = grown(a[:5, :5])
     borders = a[:5, 5:]
     corners = np.diag(a)[5:]
     many = fac.gain_many(borders, corners)
@@ -161,7 +186,7 @@ def test_gain_and_gain_many_agree():
 
 def test_gain_reports_neg_inf_for_nonpositive_schur():
     ones = np.ones((2, 2))
-    fac = CholeskyFactor.from_matrix(ones[:1, :1])
+    fac = grown(ones[:1, :1])
     assert fac.gain(ones[:1, 1], 1.0) == -np.inf
     assert fac.gain_many(ones[:1, 1:], np.array([1.0]))[0] == -np.inf
     assert fac.gain_block_many(ones[:1, 1:][:, None, :], np.ones((1, 1, 1)))[0] == -np.inf
@@ -169,7 +194,7 @@ def test_gain_reports_neg_inf_for_nonpositive_schur():
 
 def test_gain_block_many_matches_loop():
     a = random_spd(20, substream(4, "spd"))
-    fac = CholeskyFactor.from_matrix(a[:8, :8])
+    fac = grown(a[:8, :8])
     rng = substream(5, "batches")
     idx = np.array([np.sort(rng.choice(np.arange(8, 20), size=3, replace=False))
                     for _ in range(6)])
@@ -246,7 +271,7 @@ def test_cg_stops_at_max_iter_unconverged():
 
 def schur_gain(L, selected, i):
     """Marginal gain of item i through a factor of L[X, X]."""
-    return CholeskyFactor.from_matrix(L[np.ix_(selected, selected)]).gain(L[selected, i], L[i, i])
+    return grown(L[np.ix_(selected, selected)]).gain(L[selected, i], L[i, i])
 
 
 def test_schur_gain_empty_selection():
